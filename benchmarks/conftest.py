@@ -27,14 +27,6 @@ def pytest_addoption(parser):
         help="run service benchmarks with a write-ahead log under the "
         "given fsync policy ('off', the default, disables the WAL)",
     )
-    parser.addoption(
-        "--transport",
-        choices=("pickle", "shm"),
-        default="pickle",
-        help="flush transport for the service benchmarks: 'pickle' "
-        "ships arrays over executor pipes (the default), 'shm' ships "
-        "slot descriptors into a shared-memory ring",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -48,12 +40,6 @@ def wal_mode(request):
     """Whether the service benchmarks log ingests to a WAL, and how
     durably ('interval'/'always' fsync policies)."""
     return request.config.getoption("--wal")
-
-
-@pytest.fixture(scope="session")
-def transport_mode(request):
-    """Which flush transport the service benchmarks build engines with."""
-    return request.config.getoption("--transport")
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,7 @@
 """The SHE framework: CSM model, cleaning frames and the five sketches."""
 
 from repro.core.base import FrameKind, make_frame
-from repro.core.batch import apply_batch
+from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
 from repro.core.csm import (
     BITMAP_SPEC,
@@ -38,7 +38,7 @@ from repro.core.timebase import TimedStream
 __all__ = [
     "FrameKind",
     "make_frame",
-    "apply_batch",
+    "apply_columnar",
     "SheConfig",
     "CellType",
     "CsmSpec",

@@ -16,6 +16,7 @@ from typing import Literal
 import numpy as np
 
 from repro.common.validation import as_key_array, require_non_negative_int
+from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
 from repro.core.hardware_frame import HardwareFrame
 from repro.core.software_frame import SoftwareFrame
@@ -92,8 +93,9 @@ def sized_from_memory(cls, window: int, memory_bytes: int, **kwargs):
 class SheSketchBase:
     """Item clock + common insert/query scaffolding for SHE sketches.
 
-    Subclasses implement ``_insert_at(keys, times)`` to place a batch of
-    keys whose arrival times are consecutive integers.  The base class
+    Subclasses implement ``_touch_columns(keys, times)``, the hashing
+    step that turns a batch of arrivals into the cell touches the apply
+    kernel consumes, and own a ``frame``.  The base class
     maintains ``self.t`` — the count-based clock: the number of items
     inserted so far, which is also the arrival time of the *next* item.
     """
@@ -217,51 +219,18 @@ class SheSketchBase:
         self.t = int(times[-1]) + 1
 
     def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
-        raise NotImplementedError
-
-    # -- columnar fast path --------------------------------------------------
+        # hash first: a subclass without the hook fails here with
+        # NotImplementedError, before anything reads ``self.frame``
+        cols = self._touch_columns(keys, times)
+        apply_columnar(self.frame, *cols)
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        """``(touch_times, cell_idx, values, kind)`` for a batch, or ``None``.
+        """``(times, cell_idx, values, kind)`` for a batch of arrivals.
 
-        Frame-backed sketches override this with their hashing step;
-        both insert paths (legacy ``apply_batch`` and the columnar
-        ``apply_columnar``) then consume identical columns.  Returning
-        ``None`` means "no columnar form" and the columnar entry falls
-        back to ``_insert_at``.
+        The per-kind hashing step, and the only hook an insert needs:
+        :meth:`_insert_at` feeds these columns to the one apply kernel,
+        :func:`repro.core.batch.apply_columnar`.  ``times`` may stay
+        item-major (one per key, ``cell_idx`` holding ``k`` touches per
+        key); the kernel expands it.
         """
-        return None
-
-    def _insert_columnar(self, keys: np.ndarray, times: np.ndarray) -> None:
-        from repro.core.batch import apply_columnar
-
-        cols = self._touch_columns(keys, times)
-        if cols is None:
-            self._insert_at(keys, times)
-        else:
-            apply_columnar(self.frame, *cols)
-
-    def insert_at_columnar(self, keys, times) -> None:
-        """Columnar twin of :meth:`insert_at` (bit-identical results).
-
-        The shared-memory transport's apply entry: consumes ``(keys,
-        times)`` column batches straight from ring-buffer views via the
-        optimised :func:`repro.core.batch.apply_columnar` kernel.
-        """
-        arr = as_key_array(keys)
-        times = np.asarray(times, dtype=np.int64)
-        if arr.shape != times.shape:
-            raise ValueError(
-                f"keys ({arr.shape}) and times ({times.shape}) must align"
-            )
-        if arr.size == 0:
-            return
-        if int(times[0]) < self.t:
-            raise ValueError(
-                f"times must start at or after the clock ({self.t}), "
-                f"got {int(times[0])}"
-            )
-        if np.any(np.diff(times) < 0):
-            raise ValueError("times must be non-decreasing")
-        self._insert_columnar(arr, times)
-        self.t = int(times[-1]) + 1
+        raise NotImplementedError

@@ -31,11 +31,25 @@ of ``t_end`` is ``<= t_i``.  So: compute survivors, advance the sweep to
 
 All five CSM update kinds are commutative and idempotent-safe under
 this regrouping (SET, ADD via ``np.add.at``, MAX/MIN via ``ufunc.at``).
+
+Throughput notes for :func:`apply_columnar`, the single kernel every
+insert goes through:
+
+* the ADD_ONE scatter passes a dtype-matched operand so ``np.add.at``
+  takes NumPy's fast indexed-loop path instead of the generic buffered
+  one (~50x on uint32 cells);
+* ``last_flip`` uses in-order fancy assignment instead of
+  ``np.maximum.at`` — touches arrive in non-decreasing time order, so
+  the last write per group IS the max opposite-parity time;
+* group ids and mark parities use arithmetic shifts when the group
+  width / ``Tcycle`` are powers of two (exact for int64 under floor
+  semantics, including the negative phases offsets can produce).
+
+The per-item reference it must match bit for bit lives in the tests
+(``tests/helpers.py``: Algorithm 1 and the sweep, one touch at a time).
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -43,7 +57,7 @@ from repro.core.csm import UpdateKind
 from repro.core.hardware_frame import HardwareFrame
 from repro.core.software_frame import SoftwareFrame
 
-__all__ = ["apply_batch", "apply_columnar"]
+__all__ = ["apply_columnar"]
 
 
 def _pow2_shift(v: int) -> int | None:
@@ -54,144 +68,14 @@ def _pow2_shift(v: int) -> int | None:
     return None
 
 
-def _scatter(cells: np.ndarray, idx: np.ndarray, values: np.ndarray | None, kind: UpdateKind) -> None:
-    """Apply update kind ``F`` for (possibly duplicated) cell indices."""
-    if idx.size == 0:
-        return
-    if kind is UpdateKind.SET_ONE:
-        cells[idx] = 1
-    elif kind is UpdateKind.ADD_ONE:
-        np.add.at(cells, idx, 1)
-    elif kind is UpdateKind.MAX_RANK:
-        np.maximum.at(cells, idx, values.astype(cells.dtype))
-    elif kind is UpdateKind.MIN_HASH:
-        np.minimum.at(cells, idx, values.astype(cells.dtype))
-    else:  # pragma: no cover - enum is closed
-        raise AssertionError(f"unhandled update kind {kind!r}")
-
-
-def _apply_batch_hardware(
-    frame: HardwareFrame,
-    times: np.ndarray,
-    cell_idx: np.ndarray,
-    values: np.ndarray | None,
-    kind: UpdateKind,
-) -> None:
-    gids = cell_idx // frame.group_width
-    parity = (((times + frame.offsets[gids]) // frame.t_cycle) % 2).astype(np.uint8)
-
-    # Sort-free derivation (touches arrive in non-decreasing time order):
-    # fancy assignment applies writes in order, so `a[idx] = v` leaves
-    # each group's LAST touch — and reversed, its FIRST touch.
-    g32 = frame.num_groups
-    last_parity = np.empty(g32, dtype=np.uint8)
-    last_parity[gids] = parity
-    first_parity = np.empty(g32, dtype=np.uint8)
-    first_parity[gids[::-1]] = parity[::-1]
-
-    # the last opposite-parity touch time per group: every touch at or
-    # before it is discarded by a later CheckGroup reset
-    opposite = parity != last_parity[gids]
-    last_flip = np.full(g32, -1, dtype=np.int64)
-    if np.any(opposite):
-        np.maximum.at(last_flip, gids[opposite], times[opposite])
-    survivors = times > last_flip[gids]
-
-    touched = np.zeros(g32, dtype=bool)
-    touched[gids] = True
-    cleaned = touched & ((last_flip >= 0) | (frame.marks != first_parity))
-
-    frame.cleaning_checks += 1
-    n_cleaned = int(np.count_nonzero(cleaned))
-    if n_cleaned:
-        view = frame.cells.reshape(frame.num_groups, frame.group_width)
-        view[cleaned] = frame.empty_value
-        frame.groups_cleaned += n_cleaned
-        frame.cells_cleaned += n_cleaned * frame.group_width
-    frame.marks[gids] = parity  # in order: each group keeps its last mark
-
-    _scatter(
-        frame.cells,
-        cell_idx[survivors],
-        None if values is None else values[survivors],
-        kind,
-    )
-
-
-def _apply_batch_software(
-    frame: SoftwareFrame,
-    times: np.ndarray,
-    cell_idx: np.ndarray,
-    values: np.ndarray | None,
-    kind: UpdateKind,
-) -> None:
-    t_end = int(times[-1])
-    j = cell_idx.astype(np.int64)
-    big_b = frame._boundaries_at(t_end)
-    b_j = ((big_b - j) // frame.num_cells) * frame.num_cells + j
-    clean_t = -((-b_j * frame.t_cycle) // frame.num_cells)
-    survivors = clean_t <= times
-    frame.advance(t_end)
-    _scatter(
-        frame.cells,
-        cell_idx[survivors],
-        None if values is None else values[survivors],
-        kind,
-    )
-
-
-def apply_batch(
-    frame,
-    times: np.ndarray,
-    cell_idx: np.ndarray,
-    values: np.ndarray | None,
-    kind: UpdateKind,
-) -> None:
-    """Apply a batch of timestamped cell updates to either frame kind.
-
-    Args:
-        frame: a :class:`HardwareFrame` or :class:`SoftwareFrame`.
-        times: arrival time of each touch (non-decreasing), ``int64``.
-        cell_idx: touched cell index per touch (same length).
-        values: per-touch operand for MAX_RANK / MIN_HASH, else ``None``.
-        kind: which CSM update function to apply.
-    """
-    if times.size == 0:
-        return
-    times = np.asarray(times, dtype=np.int64)
-    cell_idx = np.asarray(cell_idx, dtype=np.int64)
-    if isinstance(frame, HardwareFrame):
-        _apply_batch_hardware(frame, times, cell_idx, values, kind)
-    elif isinstance(frame, SoftwareFrame):
-        _apply_batch_software(frame, times, cell_idx, values, kind)
-    else:
-        raise TypeError(f"unsupported frame type {type(frame).__name__}")
-
-
-# -- columnar fast path -------------------------------------------------------
-#
-# ``apply_columnar`` is the zero-copy transport's apply entry: the same
-# batch semantics as :func:`apply_batch` (bit-identical results, pinned
-# by tests/core/test_columnar.py), reworked for throughput:
-#
-# * the ADD_ONE scatter passes a dtype-matched operand so ``np.add.at``
-#   takes NumPy's fast indexed-loop path instead of the generic
-#   buffered one (~50x on uint32 cells);
-# * ``last_flip`` uses in-order fancy assignment instead of
-#   ``np.maximum.at`` — touches arrive in non-decreasing time order, so
-#   the last write per group IS the max opposite-parity time;
-# * group ids and mark parities use arithmetic shifts when the group
-#   width / ``Tcycle`` are powers of two (exact for int64 under floor
-#   semantics, including the negative phases offsets can produce).
-#
-# The legacy ``apply_batch`` is kept untouched as the pickle-transport
-# fallback path.
-
-
-def _scatter_columnar(
+def _scatter(
     cells: np.ndarray, idx: np.ndarray, values: np.ndarray | None, kind: UpdateKind
 ) -> None:
-    """Dtype-matched :func:`_scatter`: keeps ``ufunc.at`` on its fast path."""
+    """Apply update kind ``F`` for (possibly duplicated) cell indices.
+
+    Operands are cast to the cell dtype so ``ufunc.at`` stays on its
+    fast indexed-loop path.
+    """
     if idx.size == 0:
         return
     if kind is UpdateKind.SET_ONE:
@@ -210,42 +94,22 @@ def _scatter_columnar(
 _UNTOUCHED = np.uint8(2)
 
 
-_scratch_pool = threading.local()
-
-
-def _hw_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two reusable ``int64`` work buffers of at least ``n`` elements.
-
-    The per-touch arrays here run to megabytes per flush; allocating
-    them fresh every call keeps the working set perpetually cold.  The
-    buffers are thread-local and only live within one kernel call, so
-    interleaved applies to different frames cannot alias.
-    """
-    bufs = getattr(_scratch_pool, "bufs", None)
-    if bufs is None or bufs[0].size < n:
-        cap = max(1 << (max(n, 2) - 1).bit_length(), 1024)
-        bufs = (np.empty(cap, np.int64), np.empty(cap, np.int64))
-        _scratch_pool.bufs = bufs
-    return bufs[0][:n], bufs[1][:n]
-
-
-def _apply_columnar_hardware(
+def _apply_hardware(
     frame: HardwareFrame,
     times: np.ndarray,
     cell_idx: np.ndarray,
     values: np.ndarray | None,
     kind: UpdateKind,
 ) -> None:
-    g_buf, p_buf = _hw_scratch(cell_idx.size)
     gw_shift = _pow2_shift(frame.group_width)
     if gw_shift is not None:
-        gids = np.right_shift(cell_idx, gw_shift, out=g_buf)
+        gids = np.right_shift(cell_idx, gw_shift)
     else:
-        gids = np.floor_divide(cell_idx, frame.group_width, out=g_buf)
+        gids = np.floor_divide(cell_idx, frame.group_width)
 
     # gids are in-range by construction; mode="clip" skips the per-
     # element bounds check, which is the bulk of np.take's cost here
-    phase = np.take(frame.offsets, gids, out=p_buf, mode="clip")
+    phase = np.take(frame.offsets, gids, mode="clip")
     if times.size != cell_idx.size:
         # item-major layout: one time per item, k touches per item
         times = np.repeat(times, cell_idx.size // times.size)
@@ -308,24 +172,27 @@ def _apply_columnar_hardware(
         cleaned = touched & ((last_flip >= 0) | (frame.marks != first_parity))
 
     frame.cleaning_checks += 1
-    n_cleaned = int(np.count_nonzero(cleaned))
+    # integer row indices: a boolean row mask on the 2-D view is several
+    # times slower to assign through
+    cleaned_rows = np.flatnonzero(cleaned)
+    n_cleaned = int(cleaned_rows.size)
     if n_cleaned:
         view = frame.cells.reshape(frame.num_groups, frame.group_width)
-        view[cleaned] = frame.empty_value
+        view[cleaned_rows] = frame.empty_value
         frame.groups_cleaned += n_cleaned
         frame.cells_cleaned += n_cleaned * frame.group_width
     # equivalent to ``frame.marks[gids] = parity`` (last write per group
     # wins) without re-reading the per-touch arrays
-    np.copyto(frame.marks, last_parity, where=touched)
+    np.putmask(frame.marks, touched, last_parity)
 
     if surv_idx is None:
-        _scatter_columnar(frame.cells, cell_idx, values, kind)
+        _scatter(frame.cells, cell_idx, values, kind)
         if undo_idx is not None and undo_idx.size:
             np.subtract.at(
                 frame.cells, undo_idx, frame.cells.dtype.type(1)
             )
     else:
-        _scatter_columnar(
+        _scatter(
             frame.cells,
             cell_idx.take(surv_idx),
             None if values is None else values.take(surv_idx),
@@ -333,21 +200,22 @@ def _apply_columnar_hardware(
         )
 
 
-def _apply_columnar_software(
+def _apply_software(
     frame: SoftwareFrame,
     times: np.ndarray,
     cell_idx: np.ndarray,
     values: np.ndarray | None,
     kind: UpdateKind,
 ) -> None:
+    if times.size != cell_idx.size:
+        times = np.repeat(times, cell_idx.size // times.size)
     t_end = int(times[-1])
-    j = cell_idx.astype(np.int64, copy=False)
     big_b = frame._boundaries_at(t_end)
-    b_j = ((big_b - j) // frame.num_cells) * frame.num_cells + j
+    b_j = ((big_b - cell_idx) // frame.num_cells) * frame.num_cells + cell_idx
     clean_t = -((-b_j * frame.t_cycle) // frame.num_cells)
     survivors = clean_t <= times
     frame.advance(t_end)
-    _scatter_columnar(
+    _scatter(
         frame.cells,
         cell_idx[survivors],
         None if values is None else values[survivors],
@@ -362,20 +230,29 @@ def apply_columnar(
     values: np.ndarray | None,
     kind: UpdateKind,
 ) -> None:
-    """Optimised columnar twin of :func:`apply_batch` (bit-identical).
+    """Apply a batch of timestamped cell updates to either frame kind.
 
-    Same contract as :func:`apply_batch`, with one extension: ``times``
-    may hold one entry per *item* while ``cell_idx`` is laid out
-    item-major with ``k`` touches per item (``cell_idx.size == k *
-    times.size``); the expansion to per-touch times happens here.  The
-    shared-memory transport routes flushes here via
-    ``AlgoDescriptor.apply_columnar``.
+    Args:
+        frame: a :class:`HardwareFrame` or :class:`SoftwareFrame`.
+        times: arrival times (non-decreasing), ``int64`` — either one
+            per touch, or one per *item* with ``cell_idx`` laid out
+            item-major, ``k`` touches per item (``cell_idx.size == k *
+            times.size``); the expansion to per-touch times happens
+            here.
+        cell_idx: touched cell index per touch.
+        values: per-touch operand for MAX_RANK / MIN_HASH, else ``None``.
+        kind: which CSM update function to apply.
     """
     if times.size == 0:
         return
     times = np.asarray(times, dtype=np.int64)
     cell_idx = np.asarray(cell_idx)
-    if cell_idx.dtype.kind not in "iu":
+    # int64 indices skip NumPy's per-call index cast, which makes
+    # ``uint64`` scatters 2-3x slower; hashed indices are far below
+    # 2**63, so unsigned ones reinterpret for free
+    if cell_idx.dtype == np.uint64:
+        cell_idx = cell_idx.view(np.int64)
+    elif cell_idx.dtype != np.int64:
         cell_idx = cell_idx.astype(np.int64)
     if cell_idx.size % times.size:
         raise ValueError(
@@ -383,10 +260,8 @@ def apply_columnar(
             f"times ({times.size})"
         )
     if isinstance(frame, HardwareFrame):
-        _apply_columnar_hardware(frame, times, cell_idx, values, kind)
+        _apply_hardware(frame, times, cell_idx, values, kind)
     elif isinstance(frame, SoftwareFrame):
-        if times.size != cell_idx.size:
-            times = np.repeat(times, cell_idx.size // times.size)
-        _apply_columnar_software(frame, times, cell_idx, values, kind)
+        _apply_software(frame, times, cell_idx, values, kind)
     else:
         raise TypeError(f"unsupported frame type {type(frame).__name__}")

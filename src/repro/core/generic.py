@@ -18,7 +18,6 @@ import numpy as np
 from repro.common.hashing import HashFamily, leading_zeros_32
 from repro.common.validation import as_key_array, require_positive_int
 from repro.core.base import FrameKind, SheSketchBase, make_frame
-from repro.core.batch import apply_batch
 from repro.core.config import SheConfig
 from repro.core.csm import CsmSpec, UpdateKind
 
@@ -142,12 +141,10 @@ class GenericSheSketch(SheSketchBase):
         k = self.spec.locations
         idx = self.hashes.indices(keys, self.num_cells_total)
         ops = self._operands(keys)
-        touch_times = np.repeat(times, k)
+        # item-major times (the kernel expands them); operands are
+        # per touch
         touch_ops = None if ops is None else np.repeat(ops, k)
-        return touch_times, idx.reshape(-1), touch_ops, self.spec.update
-
-    def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
-        apply_batch(self.frame, *self._touch_columns(keys, times))
+        return times, idx.reshape(-1), touch_ops, self.spec.update
 
     def read_cells(self, keys, t: int | None = None) -> CellReadout:
         """Cleaned cell contents + age classification for queried keys."""

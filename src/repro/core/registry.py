@@ -139,30 +139,6 @@ def _two_stream_signature(desc: "AlgoDescriptor", sketch) -> tuple:
 # -- default (de)serialisation hooks ------------------------------------------
 
 
-def _default_apply_columnar(sketch, keys, times, side=None) -> None:
-    """Feed one columnar flush batch to a single-stream sketch.
-
-    Prefers the sketch's ``insert_at_columnar`` (the optimised
-    :func:`repro.core.batch.apply_columnar` kernel); custom kinds
-    without one keep working through the legacy ``insert_at``.
-    """
-    fast = getattr(sketch, "insert_at_columnar", None)
-    if fast is not None:
-        fast(keys, times)
-    else:
-        sketch.insert_at(keys, times)
-
-
-def _two_stream_apply_columnar(sketch, keys, times, side=None) -> None:
-    """Two-stream (SHE-MH shape) columnar flush entry."""
-    s = 0 if side is None else side
-    fast = getattr(sketch, "insert_at_columnar", None)
-    if fast is not None:
-        fast(s, keys, times)
-    else:
-        sketch.insert_at(s, keys, times)
-
-
 def _default_to_state(desc: "AlgoDescriptor", sketch) -> tuple[dict, dict]:
     """Meta fields + arrays for a single-frame sketch built as
     ``cls(window, size, *, alpha, beta, group_width, frame, seed)``.
@@ -274,13 +250,6 @@ class AlgoDescriptor:
             :func:`repro.persist.save_sketch`.
         from_state: ``(descriptor, meta, npz_data) -> sketch`` for
             :func:`repro.persist.load_sketch`.
-        apply_columnar: ``(sketch, keys, times, side) -> None`` — how
-            executors feed one columnar flush batch to the sketch.  The
-            default routes through ``insert_at_columnar`` (the optimised
-            :func:`repro.core.batch.apply_columnar` kernel) when the
-            sketch provides it, falling back to the legacy ``insert_at``
-            for custom kinds that predate the columnar path.  Results
-            must be bit-identical to ``insert_at``.
     """
 
     kind: str
@@ -305,7 +274,6 @@ class AlgoDescriptor:
     signature: Callable | None = None
     to_state: Callable | None = None
     from_state: Callable | None = None
-    apply_columnar: Callable | None = None
 
     def __post_init__(self) -> None:
         if not self.kind:
@@ -335,16 +303,6 @@ class AlgoDescriptor:
             object.__setattr__(self, "to_state", _default_to_state)
         if self.from_state is None:
             object.__setattr__(self, "from_state", _default_from_state)
-        if self.apply_columnar is None:
-            object.__setattr__(
-                self,
-                "apply_columnar",
-                (
-                    _two_stream_apply_columnar
-                    if self.two_stream
-                    else _default_apply_columnar
-                ),
-            )
         object.__setattr__(self, "queries", frozenset(self.queries))
 
     # bound conveniences so call sites read naturally ------------------------

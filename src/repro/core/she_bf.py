@@ -20,7 +20,6 @@ import numpy as np
 from repro.common.hashing import HashFamily
 from repro.common.validation import as_key_array, require_positive_int
 from repro.core.base import FrameKind, SheSketchBase, make_frame
-from repro.core.batch import apply_batch
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
@@ -77,11 +76,6 @@ class SheBloomFilter(SheSketchBase):
         # times itself (one repeat, inside the kernel)
         idx = self.hashes.indices(keys, self.num_bits)  # (n, k)
         return times, idx.reshape(-1), None, UpdateKind.SET_ONE
-
-    def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
-        _, idx, values, kind = self._touch_columns(keys, times)
-        touch_times = np.repeat(times, self.num_hashes)
-        apply_batch(self.frame, touch_times, idx, values, kind)
 
     # -- queries ---------------------------------------------------------------
 

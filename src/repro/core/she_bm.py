@@ -16,7 +16,6 @@ import numpy as np
 from repro.common.hashing import HashFamily
 from repro.common.validation import require_positive_int
 from repro.core.base import FrameKind, SheSketchBase, make_frame
-from repro.core.batch import apply_batch
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
@@ -68,9 +67,6 @@ class SheBitmap(SheSketchBase):
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
         idx = self.hashes.indices(keys, self.num_bits)[:, 0]
         return times, idx, None, UpdateKind.SET_ONE
-
-    def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
-        apply_batch(self.frame, *self._touch_columns(keys, times))
 
     def cardinality(self, t: int | None = None) -> float:
         """Estimate the number of distinct keys in the window."""

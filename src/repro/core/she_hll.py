@@ -18,7 +18,6 @@ import numpy as np
 from repro.common.hashing import HashFamily, leading_zeros_32
 from repro.common.validation import require_positive_int
 from repro.core.base import FrameKind, SheSketchBase, make_frame
-from repro.core.batch import apply_batch
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
@@ -82,9 +81,6 @@ class SheHyperLogLog(SheSketchBase):
         # 5-bit registers saturate at 31
         ranks = np.minimum(ranks, 31)
         return times, idx, ranks, UpdateKind.MAX_RANK
-
-    def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
-        apply_batch(self.frame, *self._touch_columns(keys, times))
 
     def cardinality(self, t: int | None = None) -> float:
         """Estimate the number of distinct keys in the window."""

@@ -145,14 +145,6 @@ class SheMinHash:
             self._insert_chunk(frame, keys[lo : lo + _CHUNK], times[lo : lo + _CHUNK])
         self.counts[side] = int(times[-1]) + 1
 
-    def insert_at_columnar(self, side: int, keys, times) -> None:
-        """Columnar twin of :meth:`insert_at`.
-
-        SHE-MH's chunk kernel is already a columnar suffix-minima scan
-        with no per-item work, so both transports share it verbatim.
-        """
-        self.insert_at(side, keys, times)
-
     def advance_to(self, t: int, side: int | None = None) -> None:
         """Move one side's clock (or both) forward without inserting."""
         t = require_non_negative_int("t", t)

@@ -38,7 +38,6 @@ import time
 import numpy as np
 
 from repro.core.base import FrameKind, sized_from_memory
-from repro.core.batch import apply_batch
 from repro.core.csm import CellType, CsmSpec, UpdateKind
 from repro.core.generic import GenericSheSketch
 from repro.core.registry import (
@@ -153,9 +152,6 @@ class SheWindowedQuantile(GenericSheSketch):
         # touched cell per sample, counts add under ADD_ONE
         idx = self.bucket_of(keys)
         return times, idx, None, self.spec.update
-
-    def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
-        apply_batch(self.frame, *self._touch_columns(keys, times))
 
     # -- queries -------------------------------------------------------------
 
@@ -289,7 +285,8 @@ class ExemplarReservoir:
 # -- stage-level latency attribution ------------------------------------------
 
 #: the engine hot path, in pipeline order (``shm_acquire`` /
-#: ``shm_release`` only fire under the shared-memory transport)
+#: ``shm_release`` only fire for batches the process executor's
+#: shared-memory ring carries)
 ENGINE_STAGES = (
     "admit",
     "wal_append",

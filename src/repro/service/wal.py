@@ -625,7 +625,7 @@ def replay_into(engine, start: WalPosition | None = None) -> int:
     items replayed.
 
     Records are already columnar on disk (one side byte, then the keys
-    as little-endian ``uint64`` — the same key column the shm transport
+    as little-endian ``uint64`` — the same key column the shm ring
     ships), so consecutive same-side records are concatenated into
     batches of up to :data:`REPLAY_COALESCE_ITEMS` before ingesting.
     This is exact: replay skips admission, and stamping consecutive

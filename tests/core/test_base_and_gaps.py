@@ -27,9 +27,14 @@ class TestSheSketchBase:
             bf._resolve_time(-1)
 
     def test_insert_at_abstract(self):
+        """The per-kind hook is ``_touch_columns``; an insert on a class
+        without one reaches it (before touching any frame) and raises."""
+
         class Stub(SheSketchBase):
             pass
 
+        with pytest.raises(NotImplementedError):
+            Stub()._touch_columns(np.asarray([1], dtype=np.uint64), np.asarray([0]))
         with pytest.raises(NotImplementedError):
             Stub().insert(1)
 

@@ -1,14 +1,18 @@
-"""Equivalence tests: vectorised batch updates vs the literal Algorithm 1.
+"""Equivalence tests: the vectorised apply kernel vs the literal Algorithm 1.
 
 These are the keystone correctness tests of the repository — every SHE
-sketch funnels its insertions through ``apply_batch``.
+sketch funnels its insertions through ``apply_columnar``, so it must
+match the naive per-item references in ``helpers.py`` bit for bit on
+every update kind, both frames, both time layouts (one time per touch,
+or one per item with ``k`` touches each) and each of the hardware
+kernel's three branches.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.base import make_frame
-from repro.core.batch import apply_batch
+from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
@@ -28,23 +32,60 @@ def random_touches(rng, n, m, t_span, kind):
 KINDS = [UpdateKind.SET_ONE, UpdateKind.ADD_ONE, UpdateKind.MAX_RANK, UpdateKind.MIN_HASH]
 
 
+def _frames(frame_kind, cfg, m, kind, dtype=np.int64):
+    empty = 255 if kind is UpdateKind.MIN_HASH else 0
+    fast = make_frame(frame_kind, cfg, m, dtype=dtype, empty_value=empty, cell_bits=8)
+    naive_cls = NaiveHardwareFrame if frame_kind == "hardware" else NaiveSoftwareFrame
+    return fast, naive_cls(cfg, m, empty_value=empty)
+
+
+def _naive_apply(naive, touch_times, cells, values, kind):
+    for i in range(cells.size):
+        naive.touch(
+            int(cells[i]), int(touch_times[i]), kind,
+            None if values is None else int(values[i]),
+        )
+    if isinstance(naive, NaiveSoftwareFrame):
+        naive.advance(int(touch_times[-1]))
+
+
+def _assert_same(fast, naive, modulus=None):
+    want = naive.cells if modulus is None else [c % modulus for c in naive.cells]
+    assert fast.cells.tolist() == want
+    if isinstance(naive, NaiveHardwareFrame):
+        assert fast.marks.tolist() == naive.marks
+
+
+def _hardware_branch(frame, touch_times, cells):
+    """Which of the kernel's three branches a batch exercises.
+
+    Recomputed from Algorithm 1's parity definition, independent of the
+    kernel: ``"no-flip"`` when no group changes parity inside the batch,
+    ``"single-flip"`` when some do but the batch spans < Tcycle,
+    ``"general"`` otherwise.
+    """
+    gids = cells // frame.group_width
+    parity = ((touch_times + frame.offsets[gids]) // frame.t_cycle) % 2
+    flips = any(
+        np.unique(parity[gids == g]).size > 1 for g in np.unique(gids)
+    )
+    if not flips:
+        return "no-flip"
+    if int(touch_times[-1]) - int(touch_times[0]) < frame.t_cycle:
+        return "single-flip"
+    return "general"
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_hardware_batch_matches_naive(kind, seed):
     rng = np.random.default_rng(seed)
     cfg = SheConfig(window=40, alpha=0.3, group_width=4)
-    m = 16
-    empty = 255 if kind is UpdateKind.MIN_HASH else 0
-    fast = make_frame("hardware", cfg, m, dtype=np.int64, empty_value=empty, cell_bits=8)
-    naive = NaiveHardwareFrame(cfg, m, empty_value=empty)
-
-    times, cells, values = random_touches(rng, 400, m, 6 * cfg.t_cycle, kind)
-    apply_batch(fast, times, cells, values, kind)
-    for i in range(times.size):
-        naive.touch(int(cells[i]), int(times[i]), kind, None if values is None else int(values[i]))
-
-    assert fast.cells.tolist() == naive.cells
-    assert fast.marks.tolist() == naive.marks
+    fast, naive = _frames("hardware", cfg, 16, kind)
+    times, cells, values = random_touches(rng, 400, 16, 6 * cfg.t_cycle, kind)
+    apply_columnar(fast, times, cells, values, kind)
+    _naive_apply(naive, times, cells, values, kind)
+    _assert_same(fast, naive)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -52,18 +93,162 @@ def test_hardware_batch_matches_naive(kind, seed):
 def test_software_batch_matches_naive(kind, seed):
     rng = np.random.default_rng(seed + 100)
     cfg = SheConfig(window=40, alpha=0.3)
-    m = 16
-    empty = 255 if kind is UpdateKind.MIN_HASH else 0
-    fast = make_frame("software", cfg, m, dtype=np.int64, empty_value=empty, cell_bits=8)
-    naive = NaiveSoftwareFrame(cfg, m, empty_value=empty)
+    fast, naive = _frames("software", cfg, 16, kind)
+    times, cells, values = random_touches(rng, 400, 16, 6 * cfg.t_cycle, kind)
+    apply_columnar(fast, times, cells, values, kind)
+    _naive_apply(naive, times, cells, values, kind)
+    _assert_same(fast, naive)
 
-    times, cells, values = random_touches(rng, 400, m, 6 * cfg.t_cycle, kind)
-    apply_batch(fast, times, cells, values, kind)
-    for i in range(times.size):
-        naive.touch(int(cells[i]), int(times[i]), kind, None if values is None else int(values[i]))
-    naive.advance(int(times[-1]))
 
-    assert fast.cells.tolist() == naive.cells
+@pytest.mark.parametrize("frame_kind", ["hardware", "software"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_item_major_times_match_naive(frame_kind, kind, k):
+    """One time per item, ``k`` touches per item laid out item-major."""
+    rng = np.random.default_rng(10 * k)
+    cfg = SheConfig(window=40, alpha=0.3, group_width=4)
+    m = 32
+    fast, naive = _frames(frame_kind, cfg, m, kind)
+    n = 150
+    times = np.sort(rng.integers(0, 5 * cfg.t_cycle, size=n)).astype(np.int64)
+    cells = rng.integers(0, m, size=n * k).astype(np.int64)
+    values = (
+        rng.integers(1, 30, size=n * k).astype(np.int64)
+        if kind in (UpdateKind.MAX_RANK, UpdateKind.MIN_HASH)
+        else None
+    )
+    apply_columnar(fast, times, cells, values, kind)
+    _naive_apply(naive, np.repeat(times, k), cells, values, kind)
+    _assert_same(fast, naive)
+
+
+def _branch_batch(branch, cfg, m):
+    """A hand-built batch that lands in the named hardware branch."""
+    rng = np.random.default_rng(5)
+    tc = cfg.t_cycle
+    if branch == "no-flip":
+        # every touch in group 0 (offset 0), inside one parity phase
+        # of the second cycle: the mark check alone cleans the group
+        times = np.sort(rng.integers(tc + 1, 2 * tc - 1, size=60))
+        cells = rng.integers(0, cfg.group_width, size=60)
+    elif branch == "single-flip":
+        # straddle group 0's boundary at 2*tc with a span < tc; other
+        # groups see touches on one side only
+        times = np.sort(rng.integers(2 * tc - tc // 3, 2 * tc + tc // 3, size=200))
+        cells = rng.integers(0, m, size=200)
+    else:
+        times = np.sort(rng.integers(0, 4 * tc, size=300))
+        cells = rng.integers(0, m, size=300)
+    return times.astype(np.int64), cells.astype(np.int64)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("branch", ["no-flip", "single-flip", "general"])
+def test_each_hardware_branch_matches_naive(branch, kind):
+    cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
+    m = 32
+    fast, naive = _frames("hardware", cfg, m, kind)
+    # warm both frames so the batch meets non-empty cells and marks
+    warm_t, warm_c, warm_v = random_touches(
+        np.random.default_rng(1), 80, m, cfg.t_cycle // 2, kind
+    )
+    apply_columnar(fast, warm_t, warm_c, warm_v, kind)
+    _naive_apply(naive, warm_t, warm_c, warm_v, kind)
+
+    times, cells = _branch_batch(branch, cfg, m)
+    assert _hardware_branch(fast, times, cells) == branch
+    values = (
+        np.random.default_rng(2).integers(1, 30, size=cells.size)
+        if kind in (UpdateKind.MAX_RANK, UpdateKind.MIN_HASH)
+        else None
+    )
+    apply_columnar(fast, times, cells, values, kind)
+    _naive_apply(naive, times, cells, values, kind)
+    _assert_same(fast, naive)
+
+
+def test_single_flip_add_one_undoes_discarded_prefix():
+    """ADD_ONE on the single-flip branch scatters every touch, then
+    ``np.subtract.at`` removes the touches a mid-batch reset discarded."""
+    cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
+    tc = cfg.t_cycle
+    fast, naive = _frames("hardware", cfg, 8, UpdateKind.ADD_ONE)
+    # group 0 flips at tc: 5 touches before the flip, 3 after
+    times = np.asarray([tc - 2] * 5 + [tc] * 3, dtype=np.int64)
+    cells = np.asarray([1, 1, 2, 1, 3, 1, 2, 1], dtype=np.int64)
+    assert _hardware_branch(fast, times, cells) == "single-flip"
+    apply_columnar(fast, times, cells, None, UpdateKind.ADD_ONE)
+    _naive_apply(naive, times, cells, None, UpdateKind.ADD_ONE)
+    _assert_same(fast, naive)
+    assert fast.cells[:4].tolist() == [0, 2, 1, 0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_two_flips_just_over_one_tcycle(kind):
+    """A span of Tcycle + 1 lets one group flip twice: the touch before
+    the first flip must be discarded even though its parity matches the
+    group's last one."""
+    cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
+    tc = cfg.t_cycle
+    fast, naive = _frames("hardware", cfg, 8, kind)
+    # group 0 flips at tc and again at 2 * tc
+    times = np.asarray([tc - 1, tc, tc + 5, 2 * tc], dtype=np.int64)
+    cells = np.asarray([1, 2, 1, 3], dtype=np.int64)
+    values = np.asarray([9, 4, 3, 5]) if kind in (UpdateKind.MAX_RANK, UpdateKind.MIN_HASH) else None
+    assert _hardware_branch(fast, times, cells) == "general"
+    apply_columnar(fast, times, cells, values, kind)
+    _naive_apply(naive, times, cells, values, kind)
+    _assert_same(fast, naive)
+
+
+@pytest.mark.parametrize("frame_kind", ["hardware", "software"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "window,alpha,group_width",
+    [
+        (40, 0.3, 3),    # Tcycle 52, width 3: neither a power of two
+        (30, 0.5, 6),    # Tcycle 45, width 6
+        (48, 1 / 3, 5),  # Tcycle 64 (shift path), width 5 (divide path)
+        (40, 0.3, 8),    # Tcycle 52 (divide path), width 8 (shift path)
+        (24, 1 / 3, 8),  # both powers of two: both shift paths
+    ],
+)
+def test_geometry_without_powers_of_two(frame_kind, kind, window, alpha, group_width):
+    rng = np.random.default_rng(group_width * 100 + window)
+    cfg = SheConfig(window=window, alpha=alpha, group_width=group_width)
+    m = 6 * group_width
+    fast, naive = _frames(frame_kind, cfg, m, kind)
+    for batch in range(3):  # consecutive batches, each crossing flips
+        times, cells, values = random_touches(rng, 150, m, 3 * cfg.t_cycle, kind)
+        times += 3 * cfg.t_cycle * batch
+        apply_columnar(fast, times, cells, values, kind)
+        _naive_apply(naive, times, cells, values, kind)
+    _assert_same(fast, naive)
+
+
+@pytest.mark.parametrize("branch", ["no-flip", "single-flip", "general"])
+def test_add_one_wraps_on_narrow_cells(branch):
+    """uint8 counters wrap modulo 256 exactly like the naive count."""
+    cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
+    tc = cfg.t_cycle
+    fast, naive = _frames("hardware", cfg, 8, UpdateKind.ADD_ONE, dtype=np.uint8)
+    if branch == "no-flip":
+        times = np.full(300, tc + 5, dtype=np.int64)
+        cells = np.ones(300, dtype=np.int64)
+    elif branch == "single-flip":
+        # 250 discarded touches before group 0's flip at tc, 10 after:
+        # scatter-all wraps to 4, the undo wraps back to 10
+        times = np.asarray([tc - 1] * 250 + [tc] * 10, dtype=np.int64)
+        cells = np.ones(260, dtype=np.int64)
+    else:
+        # a span of exactly one Tcycle takes the general branch
+        times = np.asarray([0] * 40 + [tc] * 270, dtype=np.int64)
+        cells = np.ones(310, dtype=np.int64)
+    assert _hardware_branch(fast, times, cells) == branch
+    apply_columnar(fast, times, cells, None, UpdateKind.ADD_ONE)
+    _naive_apply(naive, times, cells, None, UpdateKind.ADD_ONE)
+    _assert_same(fast, naive, modulus=256)
+    assert fast.cells.dtype == np.uint8
 
 
 @pytest.mark.parametrize("frame_kind", ["hardware", "software"])
@@ -75,10 +260,10 @@ def test_split_batches_equal_one_batch(frame_kind):
     f1 = make_frame(frame_kind, cfg, m, dtype=np.int64, empty_value=0, cell_bits=8)
     f2 = make_frame(frame_kind, cfg, m, dtype=np.int64, empty_value=0, cell_bits=8)
     times, cells, _ = random_touches(rng, 600, m, 8 * cfg.t_cycle, UpdateKind.ADD_ONE)
-    apply_batch(f1, times, cells, None, UpdateKind.ADD_ONE)
+    apply_columnar(f1, times, cells, None, UpdateKind.ADD_ONE)
     # split at arbitrary points
     for lo, hi in [(0, 13), (13, 200), (200, 201), (201, 600)]:
-        apply_batch(f2, times[lo:hi], cells[lo:hi], None, UpdateKind.ADD_ONE)
+        apply_columnar(f2, times[lo:hi], cells[lo:hi], None, UpdateKind.ADD_ONE)
     # marks may differ on groups f2 lazily cleaned later, but a final
     # check at the same time must converge the cell contents
     f1.prepare_query_all(int(times[-1]))
@@ -89,7 +274,7 @@ def test_split_batches_equal_one_batch(frame_kind):
 def test_empty_batch_is_noop():
     cfg = SheConfig(window=10, alpha=0.5, group_width=2)
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
-    apply_batch(f, np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64), None, UpdateKind.SET_ONE)
+    apply_columnar(f, np.asarray([], dtype=np.int64), np.asarray([], dtype=np.int64), None, UpdateKind.SET_ONE)
     assert np.all(f.cells == 0)
 
 
@@ -98,19 +283,26 @@ def test_single_touch_sets_mark():
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
     # touch at a time where group 0's mark has flipped once (t >= Tcycle)
     t = cfg.t_cycle
-    apply_batch(f, np.asarray([t]), np.asarray([0]), None, UpdateKind.SET_ONE)
+    apply_columnar(f, np.asarray([t]), np.asarray([0]), None, UpdateKind.SET_ONE)
     assert f.marks[0] == 1
     assert f.cells[0] == 1
 
 
 def test_rejects_unknown_frame():
     with pytest.raises(TypeError):
-        apply_batch(object(), np.asarray([0]), np.asarray([0]), None, UpdateKind.SET_ONE)
+        apply_columnar(object(), np.asarray([0]), np.asarray([0]), None, UpdateKind.SET_ONE)
+
+
+def test_rejects_touches_not_a_multiple_of_items():
+    cfg = SheConfig(window=10, alpha=0.5, group_width=2)
+    f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
+    with pytest.raises(ValueError, match="multiple"):
+        apply_columnar(f, np.asarray([0, 1]), np.asarray([0, 1, 2]), None, UpdateKind.SET_ONE)
 
 
 def test_duplicate_cell_same_time_add():
     """k hashes hitting the same counter at the same instant both count."""
     cfg = SheConfig(window=10, alpha=0.5, group_width=2)
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
-    apply_batch(f, np.asarray([3, 3]), np.asarray([5, 5]), None, UpdateKind.ADD_ONE)
+    apply_columnar(f, np.asarray([3, 3]), np.asarray([5, 5]), None, UpdateKind.ADD_ONE)
     assert f.cells[5] == 2

@@ -1,9 +1,10 @@
 """Property-based tests: batch cleaning semantics vs Algorithm 1.
 
-Hypothesis drives random touch sequences through the vectorised batch
-path and the literal per-item reference; they must agree bit for bit on
-cells (and marks for the hardware frame) under every update kind,
-window, alpha, group width and touch pattern.
+Hypothesis drives random touch sequences through the vectorised apply
+kernel (``apply_columnar``) and the literal per-item reference; they
+must agree bit for bit on cells (and marks for the hardware frame)
+under every update kind, window, alpha, group width, touch pattern and
+time layout (one time per touch, or one per item with ``k`` touches).
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import make_frame
-from repro.core.batch import apply_batch
+from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
@@ -24,7 +25,7 @@ KINDS = st.sampled_from(list(UpdateKind))
 def touch_sequences(draw):
     window = draw(st.integers(5, 60))
     alpha = draw(st.floats(0.1, 3.0))
-    w = draw(st.sampled_from([1, 2, 4, 8]))
+    w = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
     groups = draw(st.integers(1, 6))
     m = w * groups
     cfg = SheConfig(window=window, alpha=alpha, group_width=w)
@@ -47,7 +48,7 @@ def test_hardware_batch_equals_algorithm1(seq, kind):
     t_arr = np.asarray(times, dtype=np.int64)
     c_arr = np.asarray(cells, dtype=np.int64)
     v_arr = np.asarray(values, dtype=np.int64)
-    apply_batch(fast, t_arr, c_arr, v_arr, kind)
+    apply_columnar(fast, t_arr, c_arr, v_arr, kind)
     for t, c, v in zip(times, cells, values):
         naive.touch(c, t, kind, v)
 
@@ -63,7 +64,7 @@ def test_software_batch_equals_sweep(seq, kind):
     fast = make_frame("software", cfg, m, dtype=np.int64, empty_value=empty, cell_bits=8)
     naive = NaiveSoftwareFrame(cfg, m, empty_value=empty)
 
-    apply_batch(
+    apply_columnar(
         fast,
         np.asarray(times, dtype=np.int64),
         np.asarray(cells, dtype=np.int64),
@@ -73,6 +74,48 @@ def test_software_batch_equals_sweep(seq, kind):
     for t, c, v in zip(times, cells, values):
         naive.touch(c, t, kind, v)
     naive.advance(times[-1])
+
+    assert fast.cells.tolist() == naive.cells
+
+
+@st.composite
+def item_major_sequences(draw):
+    cfg, m, times, cells, values = draw(touch_sequences())
+    k = draw(st.integers(1, 4))
+    extra = draw(st.lists(
+        st.integers(0, m - 1), min_size=len(cells) * (k - 1),
+        max_size=len(cells) * (k - 1),
+    ))
+    # item-major: item i touches cells[i*k : (i+1)*k] at times[i]
+    cells = [c for i, c0 in enumerate(cells)
+             for c in [c0] + extra[i * (k - 1):(i + 1) * (k - 1)]]
+    values = [v for v in values for _ in range(k)]
+    return cfg, m, k, times, cells, values
+
+
+@given(item_major_sequences(), KINDS, st.sampled_from(["hardware", "software"]))
+@settings(max_examples=120, deadline=None)
+def test_item_major_batch_equals_reference(seq, kind, frame_kind):
+    cfg, m, k, times, cells, values = seq
+    empty = 999 if kind is UpdateKind.MIN_HASH else 0
+    fast = make_frame(frame_kind, cfg, m, dtype=np.int64, empty_value=empty, cell_bits=8)
+    naive_cls = NaiveHardwareFrame if frame_kind == "hardware" else NaiveSoftwareFrame
+    naive = naive_cls(cfg, m, empty_value=empty)
+
+    apply_columnar(
+        fast,
+        np.asarray(times, dtype=np.int64),
+        np.asarray(cells, dtype=np.int64),
+        np.asarray(values, dtype=np.int64),
+        kind,
+    )
+    touch_times = [t for t in times for _ in range(k)]
+    for t, c, v in zip(touch_times, cells, values):
+        naive.touch(c, t, kind, v)
+    if frame_kind == "software":
+        naive.advance(times[-1])
+    else:
+        assert fast.marks.tolist() == naive.marks
 
     assert fast.cells.tolist() == naive.cells
 
