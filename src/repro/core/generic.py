@@ -152,10 +152,9 @@ class GenericSheSketch(SheSketchBase):
         keys = as_key_array(keys)
         idx = self.hashes.indices(keys, self.num_cells_total)
         flat = idx.reshape(-1)
-        self.frame.prepare_query(flat, t)
         shape = idx.shape
         return CellReadout(
-            values=self.frame.cells[flat].reshape(shape).copy(),
+            values=self.frame.read(flat, t).reshape(shape),
             ages=self.frame.ages(flat, t).reshape(shape),
             mature=self.frame.mature_mask(flat, t).reshape(shape),
             legal=self.frame.legal_mask(flat, t).reshape(shape),

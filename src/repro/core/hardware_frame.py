@@ -74,12 +74,30 @@ class HardwareFrame:
 
     # -- mark arithmetic ---------------------------------------------------
 
+    def _mark_split(self, t: int) -> tuple[int, int]:
+        """``(n, mark)``: groups ``gid < n`` carry ``mark`` at time ``t``,
+        the rest carry ``1 - mark``.
+
+        With ``t = q*Tcycle + r``, ``(t + d_gid) // Tcycle`` is ``q``
+        while ``d_gid >= -r`` and ``q - 1`` after; the offsets fall
+        monotonically from 0, so the first run holds the
+        ``ceil((r + 1) * G / Tcycle)`` groups with ``floor(Tcycle *
+        gid / G) <= r``.
+        """
+        q, r = divmod(int(t), self.t_cycle)
+        n = min(self.num_groups, -(-(r + 1) * self.num_groups // self.t_cycle))
+        return n, q % 2
+
     def _current_marks(self, gids: np.ndarray, t: int) -> np.ndarray:
         """Current 1-bit marks of ``gids`` at time ``t`` (Algorithm 1 l.2)."""
-        return (((t + self.offsets[gids]) // self.t_cycle) % 2).astype(np.uint8)
+        n, mark = self._mark_split(t)
+        return (np.asarray(gids) >= n).view(np.uint8) ^ np.uint8(mark)
 
     def _current_marks_all(self, t: int) -> np.ndarray:
-        return (((t + self.offsets) // self.t_cycle) % 2).astype(np.uint8)
+        n, mark = self._mark_split(t)
+        out = np.full(self.num_groups, mark, dtype=np.uint8)
+        out[n:] = 1 - mark
+        return out
 
     def group_of(self, indices: np.ndarray) -> np.ndarray:
         """Group id of each cell index."""
@@ -120,13 +138,27 @@ class HardwareFrame:
         """Clean the groups the insertion touches (on-demand cleaning)."""
         self.check_groups(self.group_of(indices), t)
 
-    def prepare_query(self, indices: np.ndarray, t: int) -> None:
-        """Clean the groups a point query touches before reading them."""
-        self.check_groups(self.group_of(indices), t)
-
     def prepare_query_all(self, t: int) -> None:
         """Clean every group before a whole-array query."""
         self.check_all_groups(t)
+
+    def read(self, indices: np.ndarray, t: int) -> np.ndarray:
+        """``cells[indices]`` as cleaning the touched groups at ``t``
+        would leave them, without writing the frame: a cell whose group
+        is stale (stored mark != current mark) reads as empty."""
+        gids = self.group_of(indices)
+        stale = self.marks[gids] != self._current_marks(gids, t)
+        vals = self.cells[indices]
+        vals[stale] = self.empty_value
+        return vals
+
+    def read_all(self, t: int) -> np.ndarray:
+        """A fresh copy of ``cells`` as :meth:`prepare_query_all` at
+        ``t`` would leave them; the frame itself is not written."""
+        out = self.cells.copy()
+        stale = np.flatnonzero(self.marks != self._current_marks_all(t))
+        out.reshape(self.num_groups, self.group_width)[stale] = self.empty_value
+        return out
 
     def ages(self, indices: np.ndarray, t: int) -> np.ndarray:
         """Age (time since virtual cleaning) of each cell's group."""

@@ -5,9 +5,9 @@ sum counters, min hashes), which is how distributed deployments
 aggregate per-link monitors into one view.  SHE preserves mergeability
 *provided the clocks align*: two sketches observing substreams of the
 same time axis (e.g. two switch ports timestamped by a shared counter)
-have identical group offsets, cycle lengths and virtual ages, so after
-forcing both frames to their common query time the cell-wise combine of
-the originals is exactly the SHE sketch of the union stream.
+have identical group offsets, cycle lengths and virtual ages, so
+reading both frames at their common query time and combining the
+cells cell-wise gives exactly the SHE sketch of the union stream.
 
 Which combine applies is not decided here: every registered algorithm's
 :class:`~repro.core.registry.AlgoDescriptor` carries its cell-merge
@@ -19,17 +19,20 @@ sketch merges through the same code path as the five paper algorithms.
 What cannot merge: sketches with different windows, alphas, sizes or
 hash seeds (the combine would be meaningless), unregistered types, or
 count-based clocks that drifted apart (ages would disagree);
-:func:`merge_sketches` rejects all of those loudly.
+:func:`merge_many` rejects all of those loudly.
 
-Caveat (documented, tested): lazy cleaning means a group may be stale
-in one operand and fresh in the other; forcing ``prepare_query_all`` at
-the common time before combining resolves every mark, so the merge is
-exact *when every group is touched at least once per cycle in each
-substream* — Eq. 1's condition, comfortably true for the grouped
-sketches (w = 64).  For the w = 1 sketches (HLL, MinHash) a substream
-can skip a register across two mark flips and retain stale content the
-union stream would have cleaned; the deviation is one-sided (stale
-cells only inflate max-combines) and vanishes in the paper's
+Operands are never written: every frame is read as lazy cleaning at
+the common time would leave it (``read_all``), and the reads fold into
+one output, so the result does not depend on operand order.
+
+Caveat (documented, tested): a group may be stale in one operand and
+fresh in the other; reading both at the common time resolves every
+mark, so the merge is exact *when every group is touched at least once
+per cycle in each substream* — Eq. 1's condition, comfortably true for
+the grouped sketches (w = 64).  For the w = 1 sketches (HLL, MinHash) a
+substream can skip a register across two mark flips and retain stale
+content the union stream would have cleaned; the deviation is one-sided
+(stale cells only inflate max-combines) and vanishes in the paper's
 C >> M operating regime.
 """
 
@@ -87,62 +90,23 @@ def mergeable(a, b) -> bool:
 
 
 def merge_sketches(a, b, *, t: int | None = None):
-    """Merge ``b`` into a *new* sketch equal to observing both streams.
-
-    Args:
-        a, b: two SHE sketches of identical type/configuration whose
-            clocks refer to the same time axis.
-        t: the common query time; defaults to the later clock.  Both
-            operands' frames are brought to ``t`` before combining.
-
-    Returns:
-        A new sketch (a's type) positioned at time ``t``.
-    """
-    if not mergeable(a, b):
-        raise ValueError(
-            f"cannot merge {type(a).__name__} with {type(b).__name__}: "
-            "types, geometry, frame kind and hash seeds must all match "
-            "(and both types must be registered algorithms)"
-        )
-    desc = descriptor_of(a)
-    combine = _combine_of(a, desc)
-    times = tuple(
-        t if t is not None else max(ca, cb)
-        for ca, cb in zip(_clocks(a, desc), _clocks(b, desc))
-    )
-    out = copy.deepcopy(a)
-    for fa, fb, fo, tt in zip(
-        _frames(a, desc), _frames(b, desc), _frames(out, desc), times
-    ):
-        fa.prepare_query_all(tt)
-        fb.prepare_query_all(tt)
-        fo.prepare_query_all(tt)
-        fo.cells[:] = combine(fa.cells, fb.cells)
-        if hasattr(fo, "marks"):
-            fo.marks[:] = fa.marks  # identical after prepare at tt
-    _set_clocks(out, desc, times)
-    return out
-
-
-def _clock_of(sketch) -> tuple[int, ...]:
-    desc = descriptor_of(sketch)
-    if desc is None:
-        raise ValueError(
-            f"{type(sketch).__name__} is not a registered algorithm"
-        )
-    return _clocks(sketch, desc)
+    """A *new* sketch equal to observing both streams:
+    ``merge_many([a, b], t=t)``."""
+    return merge_many([a, b], t=t)
 
 
 def merge_many(sketches, *, t: int | None = None, require_aligned: bool = False):
-    """Fold :func:`merge_sketches` over a collection of shard sketches.
+    """Combine a collection of shard sketches into one new sketch.
 
-    This is the query fan-in of the sharded service: snapshot every
-    shard, bring them all to the common time ``t``, and combine.  The
-    result is a *new* sketch positioned at ``t`` (defaulting to the
-    latest operand clock).
+    This is the query fan-in of the sharded service: read every shard
+    as it stands at the common time ``t`` and fold the reads with the
+    algorithm's cell combine, in one pass and without copying or
+    cleaning the operands.  The result is a *new* sketch (the first
+    operand's type) positioned at ``t``.
 
     Args:
-        sketches: one or more mutually mergeable SHE sketches.
+        sketches: one or more mutually mergeable SHE sketches whose
+            clocks refer to the same time axis.
         t: common query time; defaults to the maximum operand clock.
         require_aligned: when True, reject operands whose count-based
             clocks disagree.  Shards of one engine observe the same
@@ -151,35 +115,51 @@ def merge_many(sketches, *, t: int | None = None, require_aligned: bool = False)
             refusing beats a silently biased answer.
 
     Raises:
-        ValueError: on an empty collection, non-mergeable operands, or
-            (with ``require_aligned``) drifted clocks.
+        ValueError: on an empty collection, non-mergeable operands,
+            unregistered types, or (with ``require_aligned``) drifted
+            clocks.
     """
     sketches = list(sketches)
     if not sketches:
         raise ValueError("merge_many needs at least one sketch")
-    if require_aligned:
-        clocks = {_clock_of(s) for s in sketches}
-        if len(clocks) > 1:
-            raise ValueError(
-                "count-based clocks drifted across shards: "
-                f"{sorted(clocks)}; operands must observe the same time axis"
-            )
     first = sketches[0]
-    if len(sketches) == 1:
-        desc = descriptor_of(first)
-        if desc is None:
+    for other in sketches[1:]:
+        if not mergeable(first, other):
             raise ValueError(
-                f"{type(first).__name__} is not a registered algorithm"
+                f"cannot merge {type(first).__name__} with "
+                f"{type(other).__name__}: types, geometry, frame kind and "
+                "hash seeds must all match (and both types must be "
+                "registered algorithms)"
             )
-        out = copy.deepcopy(first)
-        times = tuple(
-            t if t is not None else c for c in _clocks(first, desc)
+    desc = descriptor_of(first)
+    if desc is None:
+        raise ValueError(
+            f"{type(first).__name__} is not a registered algorithm"
         )
-        for frame, tt in zip(_frames(out, desc), times):
-            frame.prepare_query_all(tt)
-        _set_clocks(out, desc, times)
-        return out
-    out = merge_sketches(first, sketches[1], t=t)
-    for s in sketches[2:]:
-        out = merge_sketches(out, s, t=t)
+    clocks = [_clocks(s, desc) for s in sketches]
+    if require_aligned and len(set(clocks)) > 1:
+        raise ValueError(
+            "count-based clocks drifted across shards: "
+            f"{sorted(set(clocks))}; operands must observe the same time axis"
+        )
+    combine = _combine_of(first, desc)
+    times = tuple(t if t is not None else max(side) for side in zip(*clocks))
+    # the output is one deepcopy of the first operand whose cells and
+    # marks are swapped for the folded reads through the memo
+    memo: dict = {}
+    for side, tt in enumerate(times):
+        frames = [_frames(s, desc)[side] for s in sketches]
+        acc = frames[0].read_all(tt)
+        for frame in frames[1:]:
+            acc = combine(acc, frame.read_all(tt))
+        memo[id(frames[0].cells)] = acc
+        if hasattr(frames[0], "marks"):
+            memo[id(frames[0].marks)] = frames[0]._current_marks_all(tt)
+    out = copy.deepcopy(first, memo)
+    for frame, tt in zip(_frames(out, desc), times):
+        if hasattr(frame, "_boundaries_done"):
+            frame._boundaries_done = max(
+                frame._boundaries_done, frame._boundaries_at(tt)
+            )
+    _set_clocks(out, desc, times)
     return out

@@ -89,9 +89,8 @@ class SheBloomFilter(SheSketchBase):
         keys = as_key_array(keys)
         idx = self.hashes.indices(keys, self.num_bits)  # (n, k)
         flat = idx.reshape(-1)
-        self.frame.prepare_query(flat, t)
         mature = self.frame.mature_mask(flat, t).reshape(idx.shape)
-        bits = self.frame.cells[flat].reshape(idx.shape).astype(bool)
+        bits = self.frame.read(flat, t).reshape(idx.shape).astype(bool)
         # evidence of absence: a mature mapped bit that is 0
         absent = np.any(mature & ~bits, axis=1)
         return ~absent

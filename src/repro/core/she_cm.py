@@ -91,9 +91,8 @@ class SheCountMin(SheSketchBase):
         keys = as_key_array(keys)
         idx = self.hashes.indices(keys, self.num_counters)
         flat = idx.reshape(-1)
-        self.frame.prepare_query(flat, t)
         mature = self.frame.mature_mask(flat, t).reshape(idx.shape)
-        counts = self.frame.cells[flat].reshape(idx.shape).astype(np.float64)
+        counts = self.frame.read(flat, t).reshape(idx.shape).astype(np.float64)
         # min over mature counters; fall back to min over all if none mature
         masked = np.where(mature, counts, np.inf)
         est = np.min(masked, axis=1)

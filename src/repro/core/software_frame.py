@@ -81,36 +81,52 @@ class SoftwareFrame:
         consumed at construction (the array starts empty).
         """
         self.cleaning_checks += 1
-        b1 = self._boundaries_at(t)
-        b0 = self._boundaries_done
-        if b1 <= b0:
-            return
-        count = b1 - b0
-        swept = min(count, self.num_cells)
-        self.groups_cleaned += swept
-        self.cells_cleaned += swept
+        swept = self._sweep(self.cells, t)
+        if swept:
+            self.groups_cleaned += swept
+            self.cells_cleaned += swept
+            self._boundaries_done = self._boundaries_at(t)
+
+    def _sweep(self, cells: np.ndarray, t: int) -> int:
+        """Reset, in ``cells``, the cells of boundaries ``(done, B(t)]``
+        (mod M) and return how many that is."""
+        count = self._boundaries_at(t) - self._boundaries_done
+        if count <= 0:
+            return 0
         if count >= self.num_cells:
-            self.cells.fill(self.empty_value)
-        else:
-            start = (b0 + 1) % self.num_cells
-            end = start + count
-            if end <= self.num_cells:
-                self.cells[start:end] = self.empty_value
-            else:
-                self.cells[start:] = self.empty_value
-                self.cells[: end - self.num_cells] = self.empty_value
-        self._boundaries_done = b1
+            cells.fill(self.empty_value)
+            return self.num_cells
+        start = (self._boundaries_done + 1) % self.num_cells
+        end = start + count
+        cells[start:min(end, self.num_cells)] = self.empty_value
+        cells[: max(end - self.num_cells, 0)] = self.empty_value
+        return count
 
     # -- frame protocol --------------------------------------------------------
 
     def prepare_insert(self, indices: np.ndarray, t: int) -> None:
         self.advance(t)
 
-    def prepare_query(self, indices: np.ndarray, t: int) -> None:
-        self.advance(t)
-
     def prepare_query_all(self, t: int) -> None:
         self.advance(t)
+
+    def read(self, indices: np.ndarray, t: int) -> np.ndarray:
+        """``cells[indices]`` as :meth:`advance` to ``t`` would leave
+        them, without writing the frame: cells the sweeper has passed
+        since the last cleaning read as empty."""
+        vals = self.cells[indices]
+        count = self._boundaries_at(t) - self._boundaries_done
+        if count > 0:
+            j = np.asarray(indices, dtype=np.int64) - (self._boundaries_done + 1)
+            vals[j % self.num_cells < count] = self.empty_value
+        return vals
+
+    def read_all(self, t: int) -> np.ndarray:
+        """A fresh copy of ``cells`` as :meth:`prepare_query_all` at
+        ``t`` would leave them; the frame itself is not written."""
+        out = self.cells.copy()
+        self._sweep(out, t)
+        return out
 
     def group_of(self, indices: np.ndarray) -> np.ndarray:
         """Each cell is its own group in the software version."""

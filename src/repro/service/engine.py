@@ -28,9 +28,10 @@ distributed sliding-window monitors:
   buffered items with exact per-shard accounting.  The default
   (no budgets) is today's unbounded behaviour, untouched.
 
-* **Query fan-in.** Membership / cardinality / similarity snapshot the
-  shards and combine them via ``merge_many`` — the engine answers
-  exactly as the merged single sketch would.  Frequency (SHE-CM) sums
+* **Query fan-in.** Membership / cardinality / similarity fold the
+  shards via ``merge_many``, which reads them without copying or
+  cleaning them, so queries never change shard state; the engine
+  answers exactly as the merged single sketch would.  Frequency (SHE-CM) sums
   the per-shard estimates instead: counts of one key live entirely on
   its owning shard, and cross-shard summation preserves Count-Min's
   never-underestimate guarantee, which a min-over-summed-counters
@@ -1224,11 +1225,14 @@ class StreamEngine:
         """One sketch equal to observing the union stream unsharded.
 
         This is the engine's fan-in: ``merge_many`` over the aligned
-        shard snapshots, per :mod:`repro.core.merge` semantics.
+        shards, per :mod:`repro.core.merge` semantics.  The merge only
+        reads its operands, so it folds the in-process shard views
+        (``peeks``) without copying them first.
         """
         started = time.perf_counter() if self._stages.enabled else None
+        self._sync()
         t = None if self._two_stream else self._t[0]
-        out = merge_many(self.snapshots(), t=t, require_aligned=True)
+        out = merge_many(self._exec.peeks(), t=t, require_aligned=True)
         self._observe_fanin(started)
         return out
 

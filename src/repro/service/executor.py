@@ -214,8 +214,9 @@ class SerialExecutor:
     def peeks(self) -> list:
         """Read-side view of the shards without copying.
 
-        Callers may run queries (lazy cleaning mutates frames exactly as
-        the next insert would) but must not insert.
+        Callers may run point queries and ``merge_many``, which only
+        read frames, but must not insert or run whole-array queries
+        (``prepare_query_all`` cleans in place).
         """
         return self._shards
 
