@@ -83,7 +83,7 @@ class CounterVectorSketch:
             if n_dec:
                 victims = self._rng.integers(0, self.num_counters, size=n_dec)
                 dec = np.zeros(self.num_counters, dtype=np.int64)
-                np.add.at(dec, victims, 1)
+                np.add.at(dec, victims, dec.dtype.type(1))
                 np.subtract(
                     self.counters,
                     np.minimum(dec, self.counters.astype(np.int64)).astype(np.int8),

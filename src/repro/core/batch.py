@@ -32,6 +32,11 @@ of ``t_end`` is ``<= t_i``.  So: compute survivors, advance the sweep to
 All five CSM update kinds are commutative and idempotent-safe under
 this regrouping (SET, ADD via ``np.add.at``, MAX/MIN via ``ufunc.at``).
 
+Dense batches (SHE-MH, §4.5) also live here: every item MINs every
+cell, so ``apply_columnar`` takes one ``(B, M)`` value block instead of
+a ``B x M`` touch list, and each cell keeps the minimum of its
+surviving suffix of items (one column-wise suffix-minimum pass).
+
 Throughput notes for :func:`apply_columnar`, the single kernel every
 insert goes through:
 
@@ -88,6 +93,13 @@ def _scatter(
         np.minimum.at(cells, idx, values.astype(cells.dtype, copy=False))
     else:  # pragma: no cover - enum is closed
         raise AssertionError(f"unhandled update kind {kind!r}")
+
+
+def _min_suffixes(cells: np.ndarray, values: np.ndarray, start: np.ndarray) -> None:
+    """Dense MIN_HASH scatter over a ``(B, M)`` block, one row per item:
+    ``cells[j] = min(cells[j], values[start[j]:, j])``."""
+    sm = np.minimum.accumulate(values[::-1], axis=0)[::-1]
+    np.minimum(cells, sm[start, np.arange(cells.size)], out=cells)
 
 
 # sentinel parity for groups no touch landed in; real parities are 0/1
@@ -171,16 +183,7 @@ def _apply_hardware(
         surv_idx = np.flatnonzero(times > last_flip[gids])
         cleaned = touched & ((last_flip >= 0) | (frame.marks != first_parity))
 
-    frame.cleaning_checks += 1
-    # integer row indices: a boolean row mask on the 2-D view is several
-    # times slower to assign through
-    cleaned_rows = np.flatnonzero(cleaned)
-    n_cleaned = int(cleaned_rows.size)
-    if n_cleaned:
-        view = frame.cells.reshape(frame.num_groups, frame.group_width)
-        view[cleaned_rows] = frame.empty_value
-        frame.groups_cleaned += n_cleaned
-        frame.cells_cleaned += n_cleaned * frame.group_width
+    frame._reset_groups(cleaned)
     # equivalent to ``frame.marks[gids] = parity`` (last write per group
     # wins) without re-reading the per-touch arrays
     np.putmask(frame.marks, touched, last_parity)
@@ -210,10 +213,7 @@ def _apply_software(
     if times.size != cell_idx.size:
         times = np.repeat(times, cell_idx.size // times.size)
     t_end = int(times[-1])
-    big_b = frame._boundaries_at(t_end)
-    b_j = ((big_b - cell_idx) // frame.num_cells) * frame.num_cells + cell_idx
-    clean_t = -((-b_j * frame.t_cycle) // frame.num_cells)
-    survivors = clean_t <= times
+    survivors = frame._clean_times(cell_idx, t_end) <= times
     frame.advance(t_end)
     _scatter(
         frame.cells,
@@ -221,6 +221,42 @@ def _apply_software(
         None if values is None else values[survivors],
         kind,
     )
+
+
+def _apply_dense_hardware(
+    frame: HardwareFrame, times: np.ndarray, values: np.ndarray
+) -> None:
+    tc = frame.t_cycle
+    d = frame.offsets
+    # cut where two items are more than Tcycle apart (a group's mark can
+    # flip twice in between unseen, the Eq. 1 wrap): inside a piece a
+    # group's last flip is then the start of its last epoch
+    cuts = np.flatnonzero(np.diff(times) > tc) + 1
+    for piece_t, piece_v in zip(np.split(times, cuts), np.split(values, cuts)):
+        e_first = (int(piece_t[0]) + d) // tc
+        e_last = (int(piece_t[-1]) + d) // tc
+        last_parity = (e_last % 2).astype(np.uint8)
+        flipped = e_last > e_first
+        # survivors start at the first item at/after the last flip
+        start = np.zeros(frame.num_groups, dtype=np.int64)
+        start[flipped] = np.searchsorted(piece_t, (e_last * tc - d)[flipped])
+        frame._reset_groups(flipped | (frame.marks != last_parity))
+        frame.marks[:] = last_parity
+        _min_suffixes(frame.cells, piece_v, np.repeat(start, frame.group_width))
+
+
+def _apply_dense_software(
+    frame: SoftwareFrame, times: np.ndarray, values: np.ndarray
+) -> None:
+    t_end = int(times[-1])
+    # a cell's writes survive from its first item at/after its latest
+    # cleaning; clean_t <= t_end, so that item exists
+    start = np.searchsorted(times, frame._clean_times(np.arange(frame.num_cells), t_end))
+    # SHE-MH's cleaning counters report two sweep passes per dense
+    # batch: to its first item, then to its last
+    frame.advance(int(times[0]))
+    frame.advance(t_end)
+    _min_suffixes(frame.cells, values, start)
 
 
 def apply_columnar(
@@ -239,13 +275,25 @@ def apply_columnar(
             item-major, ``k`` touches per item (``cell_idx.size == k *
             times.size``); the expansion to per-touch times happens
             here.
-        cell_idx: touched cell index per touch.
+        cell_idx: touched cell index per touch, or ``None`` for a dense
+            batch in which every item touches every cell (SHE-MH's
+            M-permutation update); ``values`` is then a ``(B, M)``
+            block, one row per item, and ``kind`` must be MIN_HASH.
         values: per-touch operand for MAX_RANK / MIN_HASH, else ``None``.
         kind: which CSM update function to apply.
     """
     if times.size == 0:
         return
     times = np.asarray(times, dtype=np.int64)
+    hardware = isinstance(frame, HardwareFrame)
+    if not (hardware or isinstance(frame, SoftwareFrame)):
+        raise TypeError(f"unsupported frame type {type(frame).__name__}")
+    if cell_idx is None:
+        if kind is not UpdateKind.MIN_HASH:
+            raise ValueError(f"a dense batch must be MIN_HASH, got {kind!r}")
+        dense = _apply_dense_hardware if hardware else _apply_dense_software
+        dense(frame, times, values)
+        return
     cell_idx = np.asarray(cell_idx)
     # int64 indices skip NumPy's per-call index cast, which makes
     # ``uint64`` scatters 2-3x slower; hashed indices are far below
@@ -259,9 +307,5 @@ def apply_columnar(
             f"cell_idx ({cell_idx.size}) must be a multiple of "
             f"times ({times.size})"
         )
-    if isinstance(frame, HardwareFrame):
-        _apply_hardware(frame, times, cell_idx, values, kind)
-    elif isinstance(frame, SoftwareFrame):
-        _apply_software(frame, times, cell_idx, values, kind)
-    else:
-        raise TypeError(f"unsupported frame type {type(frame).__name__}")
+    sparse = _apply_hardware if hardware else _apply_software
+    sparse(frame, times, cell_idx, values, kind)

@@ -8,6 +8,9 @@ cycle; whenever a touched group's stored mark disagrees, the whole group
 is lazily reset (Algorithm 1: ``CheckGroup``).  The group's *age* —
 time since its virtual cleaning instant — is ``(t + d_gid) mod Tcycle``.
 
+Inserts run ``CheckGroup`` in :func:`repro.core.batch.apply_columnar`,
+whole-array queries in :meth:`HardwareFrame.prepare_query_all`.
+
 This reproduces on-demand + group cleaning exactly, including the known
 failure mode: a group untouched for two full cycles wraps its mark back
 to the current value and stale cells survive (quantified by Eq. 1;
@@ -103,44 +106,26 @@ class HardwareFrame:
         """Group id of each cell index."""
         return np.asarray(indices, dtype=np.int64) // self.group_width
 
-    # -- cleaning ----------------------------------------------------------
-
-    def check_groups(self, gids: np.ndarray, t: int) -> None:
-        """``CheckGroup`` for a batch of group ids: lazily reset stale ones."""
-        self.cleaning_checks += 1
-        gids = np.unique(np.asarray(gids, dtype=np.int64))
-        cur = self._current_marks(gids, t)
-        mask = self.marks[gids] != cur
-        stale = gids[mask]
-        if stale.size:
-            view = self.cells.reshape(self.num_groups, self.group_width)
-            view[stale] = self.empty_value
-            self.marks[stale] = cur[mask]
-            self.groups_cleaned += int(stale.size)
-            self.cells_cleaned += int(stale.size) * self.group_width
-
-    def check_all_groups(self, t: int) -> None:
-        """Check every group — used by whole-array queries (BM/HLL/MH)."""
-        self.cleaning_checks += 1
-        cur = self._current_marks_all(t)
-        stale = self.marks != cur
-        n_stale = int(np.count_nonzero(stale))
-        if n_stale:
-            view = self.cells.reshape(self.num_groups, self.group_width)
-            view[stale] = self.empty_value
-            self.marks[stale] = cur[stale]
-            self.groups_cleaned += n_stale
-            self.cells_cleaned += n_stale * self.group_width
-
     # -- frame protocol ----------------------------------------------------
 
-    def prepare_insert(self, indices: np.ndarray, t: int) -> None:
-        """Clean the groups the insertion touches (on-demand cleaning)."""
-        self.check_groups(self.group_of(indices), t)
+    def _reset_groups(self, stale: np.ndarray) -> None:
+        """Empty the groups a ``CheckGroup`` pass found stale (boolean
+        mask over groups) and count the pass; the caller stores marks."""
+        self.cleaning_checks += 1
+        # integer row indices: a boolean row mask on the 2-D view is
+        # several times slower to assign through
+        rows = np.flatnonzero(stale)
+        if rows.size:
+            self.cells.reshape(self.num_groups, self.group_width)[rows] = self.empty_value
+            self.groups_cleaned += int(rows.size)
+            self.cells_cleaned += int(rows.size) * self.group_width
 
     def prepare_query_all(self, t: int) -> None:
-        """Clean every group before a whole-array query."""
-        self.check_all_groups(t)
+        """``CheckGroup`` over every group, in place, before a whole-array
+        query (§3.3: groups are checked on insert and on query)."""
+        cur = self._current_marks_all(t)
+        self._reset_groups(self.marks != cur)
+        self.marks[:] = cur
 
     def read(self, indices: np.ndarray, t: int) -> np.ndarray:
         """``cells[indices]`` as cleaning the touched groups at ``t``

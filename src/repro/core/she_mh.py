@@ -8,11 +8,11 @@ maximum 24-bit hash — which is the identity of min.  Similarity is the
 match fraction ``u / k`` over the ``k`` counters whose age is legal on
 *both* sides (§4.5; Eq. 5 bounds the bias by ``~alpha*T/(2*S_union)``).
 
-Because one insertion touches every counter, the generic touch-list
-batching of :mod:`repro.core.batch` would materialise ``B x M`` touches;
-instead we process the stream in chunks and compute, per counter, the
-suffix of the chunk that survives its last cleaning, exactly as derived
-in that module's docstring, then take suffix-minima column-wise.
+Because one insertion touches every counter, a touch list would hold
+``B x M`` entries; instead each chunk of the stream goes to
+:func:`repro.core.batch.apply_columnar` as one ``(B, M)`` block of
+column hashes, whose dense kernel keeps, per counter, the suffix of the
+chunk that survives its last cleaning and takes its minimum.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import numpy as np
 from repro.common.hashing import splitmix64
 from repro.common.validation import as_key_array, require_non_negative_int, require_positive_int
 from repro.core.base import FrameKind, make_frame, sized_from_memory
+from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
-from repro.core.hardware_frame import HardwareFrame
-from repro.core.software_frame import SoftwareFrame
+from repro.core.csm import UpdateKind
 
 __all__ = ["SheMinHash"]
 
@@ -105,13 +105,8 @@ class SheMinHash:
         if side not in (0, 1):
             raise ValueError(f"side must be 0 or 1, got {side}")
         keys = as_key_array(keys)
-        frame = self.frames[side]
-        t = self.counts[side]
-        for lo in range(0, keys.size, _CHUNK):
-            chunk = keys[lo : lo + _CHUNK]
-            times = t + lo + np.arange(chunk.size, dtype=np.int64)
-            self._insert_chunk(frame, chunk, times)
-        self.counts[side] += int(keys.size)
+        times = self.counts[side] + np.arange(keys.size, dtype=np.int64)
+        self.insert_at(side, keys, times)
 
     def insert_at(self, side: int, keys, times) -> None:
         """Insert a substream batch with explicit (non-decreasing) times.
@@ -140,9 +135,15 @@ class SheMinHash:
             )
         if np.any(np.diff(times) < 0):
             raise ValueError("times must be non-decreasing")
-        frame = self.frames[side]
         for lo in range(0, keys.size, _CHUNK):
-            self._insert_chunk(frame, keys[lo : lo + _CHUNK], times[lo : lo + _CHUNK])
+            hi = lo + _CHUNK
+            apply_columnar(
+                self.frames[side],
+                times[lo:hi],
+                None,
+                self._column_hashes(keys[lo:hi]),
+                UpdateKind.MIN_HASH,
+            )
         self.counts[side] = int(times[-1]) + 1
 
     def advance_to(self, t: int, side: int | None = None) -> None:
@@ -162,50 +163,6 @@ class SheMinHash:
         out = copy.deepcopy(self)
         out.reset()
         return out
-
-    def _insert_chunk(self, frame, keys: np.ndarray, times: np.ndarray) -> None:
-        b = keys.size
-        t0 = int(times[0])
-        t1 = int(times[-1])
-        values = self._column_hashes(keys)  # (B, M)
-        # suffix minima over the chunk: sm[i, j] = min(values[i:, j])
-        sm = np.minimum.accumulate(values[::-1], axis=0)[::-1]
-        m = self.num_counters
-
-        if isinstance(frame, HardwareFrame):
-            d = frame.offsets
-            tc = frame.t_cycle
-            e_first = (t0 + d) // tc
-            e_last = (t1 + d) // tc
-            flipped = e_last > e_first
-            # survivors start at the first touch at/after the last flip
-            # inside the chunk (searchsorted handles sparse times)
-            start = np.zeros(m, dtype=np.int64)
-            flip_t = e_last * tc - d
-            if np.any(flipped):
-                start[flipped] = np.searchsorted(times, flip_t[flipped], side="left")
-            cleaned = flipped | (frame.marks != (e_last % 2).astype(np.uint8))
-            frame.marks[:] = (e_last % 2).astype(np.uint8)
-            # this fast path bypasses check_groups; keep its telemetry honest
-            frame.cleaning_checks += 1
-            n_cleaned = int(np.count_nonzero(cleaned))
-            frame.groups_cleaned += n_cleaned
-            frame.cells_cleaned += n_cleaned
-        elif isinstance(frame, SoftwareFrame):
-            frame.advance(t0)
-            j = np.arange(m, dtype=np.int64)
-            big_b = frame._boundaries_at(t1)
-            b_j = ((big_b - j) // m) * m + j
-            clean_t = -((-b_j * frame.t_cycle) // m)
-            cleaned = clean_t > t0
-            start = np.clip(np.searchsorted(times, clean_t, side="left"), 0, b - 1)
-            frame.advance(t1)
-        else:  # pragma: no cover - closed set of frames
-            raise TypeError(f"unsupported frame type {type(frame).__name__}")
-
-        candidate = sm[start, np.arange(m)]
-        frame.cells[cleaned] = frame.empty_value
-        np.minimum(frame.cells, candidate, out=frame.cells)
 
     # -- introspection -------------------------------------------------------
 

@@ -32,7 +32,7 @@ class SoftwareFrame:
     the five SHE sketches run on either frame unchanged.  The software
     version has no groups or marks — cleaning is per cell and *eager*
     relative to the stream (applied lazily in code, but the state after
-    ``prepare_*`` is exactly what an always-running sweeper would leave).
+    :meth:`advance` is exactly what an always-running sweeper would leave).
     """
 
     def __init__(
@@ -104,9 +104,6 @@ class SoftwareFrame:
 
     # -- frame protocol --------------------------------------------------------
 
-    def prepare_insert(self, indices: np.ndarray, t: int) -> None:
-        self.advance(t)
-
     def prepare_query_all(self, t: int) -> None:
         self.advance(t)
 
@@ -132,18 +129,22 @@ class SoftwareFrame:
         """Each cell is its own group in the software version."""
         return np.asarray(indices, dtype=np.int64)
 
-    def _age_numerators(self, indices: np.ndarray, t: int) -> np.ndarray:
-        """Cell ages multiplied by ``M`` (exact integers).
+    def _clean_times(self, indices: np.ndarray, t: int) -> np.ndarray:
+        """Time of each cell's latest sweep cleaning as of time ``t``.
 
         Cell ``j`` was last cleaned at the crossing ``b_j``: the largest
         integer congruent to ``j`` (mod M) with ``b_j <= B(t)``, which
-        happened at time ``ceil(b_j * Tcycle / M)``.
+        happened at time ``ceil(b_j * Tcycle / M)``.  A write to ``j``
+        at time ``t_i <= t`` is still there at ``t`` iff ``clean_t <=
+        t_i``.
         """
         j = np.asarray(indices, dtype=np.int64)
-        big_b = self._boundaries_at(t)
-        b_j = ((big_b - j) // self.num_cells) * self.num_cells + j
-        clean_t = -((-b_j * self.t_cycle) // self.num_cells)  # ceil div
-        return (t - clean_t) * self.num_cells
+        b_j = ((self._boundaries_at(t) - j) // self.num_cells) * self.num_cells + j
+        return -((-b_j * self.t_cycle) // self.num_cells)  # ceil div
+
+    def _age_numerators(self, indices: np.ndarray, t: int) -> np.ndarray:
+        """Cell ages multiplied by ``M`` (exact integers)."""
+        return (t - self._clean_times(indices, t)) * self.num_cells
 
     def ages(self, indices: np.ndarray, t: int) -> np.ndarray:
         """Cell ages in (integer-floored) time units."""

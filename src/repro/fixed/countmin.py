@@ -34,7 +34,8 @@ class CountMinSketch:
         if keys.size == 0:
             return
         idx = self.hashes.indices(keys, self.num_counters)
-        np.add.at(self.counters, idx.reshape(-1), 1)
+        # a dtype-matched operand keeps np.add.at on its fast indexed loop
+        np.add.at(self.counters, idx.reshape(-1), self.counters.dtype.type(1))
 
     def frequency(self, key: int) -> int:
         """Min over the k mapped counters (never underestimates)."""

@@ -306,3 +306,31 @@ def test_duplicate_cell_same_time_add():
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
     apply_columnar(f, np.asarray([3, 3]), np.asarray([5, 5]), None, UpdateKind.ADD_ONE)
     assert f.cells[5] == 2
+
+
+@pytest.mark.parametrize("frame_kind", ["hardware", "software"])
+@pytest.mark.parametrize("max_gap", [1, 8, 3 * 52])
+def test_dense_batch_matches_naive(frame_kind, max_gap):
+    """``cell_idx=None``: every item MINs every cell (grouped cells on
+    the hardware frame; gaps over Tcycle = 52 inside one batch)."""
+    rng = np.random.default_rng(max_gap)
+    cfg = SheConfig(window=40, alpha=0.3, group_width=4)
+    m = 16
+    fast, naive = _frames(frame_kind, cfg, m, UpdateKind.MIN_HASH)
+    t = 0
+    for b in (1, 37, 200):
+        times = t + np.cumsum(rng.integers(0, max_gap + 1, size=b)).astype(np.int64)
+        values = rng.integers(1, 255, size=(b, m)).astype(np.int64)
+        apply_columnar(fast, times, None, values, UpdateKind.MIN_HASH)
+        for i in range(b):
+            for j in range(m):
+                naive.touch(j, int(times[i]), UpdateKind.MIN_HASH, int(values[i, j]))
+        _assert_same(fast, naive)
+        t = int(times[-1])
+
+
+def test_dense_batch_must_be_min_hash():
+    cfg = SheConfig(window=10, alpha=0.5, group_width=2)
+    f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
+    with pytest.raises(ValueError, match="MIN_HASH"):
+        apply_columnar(f, np.asarray([0]), None, np.ones((1, 8)), UpdateKind.MAX_RANK)

@@ -17,6 +17,8 @@ from repro.core.config import SheConfig
 from repro.core.hardware_frame import HardwareFrame
 from repro.core.software_frame import SoftwareFrame
 
+from helpers import clean_groups
+
 
 def hardware(window=100, alpha=0.2, w=3, m=42, dtype=np.uint32, empty=0):
     cfg = SheConfig(window=window, alpha=alpha, group_width=w)
@@ -49,10 +51,7 @@ def _assert_unchanged(frame, before: tuple) -> None:
 def _cleaned_point(frame, indices, t):
     """The in-place point-query cleaning ``read`` replaces."""
     ref = copy.deepcopy(frame)
-    if isinstance(ref, HardwareFrame):
-        ref.check_groups(ref.group_of(indices), t)
-    else:
-        ref.advance(t)
+    clean_groups(ref, ref.group_of(indices), t)
     return ref.cells[indices]
 
 

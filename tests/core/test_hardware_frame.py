@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
+from repro.core.csm import UpdateKind
 from repro.core.hardware_frame import HardwareFrame
 
 
@@ -77,24 +79,26 @@ class TestAges:
 
 
 class TestCleaning:
+    """``CheckGroup`` as inserts run it (``apply_columnar``), as
+    whole-array queries run it (``prepare_query_all``) and as point reads
+    see it (``read``, which writes nothing)."""
+
     def test_check_cleans_stale_group(self):
         f = make(window=100, alpha=0.2, w=4, m=32)
         f.cells[:] = 1
-        # advance time past a flip of group 0 (offset 0 flips at Tcycle)
-        f.check_groups(np.asarray([0]), f.t_cycle)
-        assert np.all(f.cells[:4] == 0)
-        assert np.all(f.cells[4:] == 1)
+        # group 0 (offset 0) flips at t = Tcycle
+        assert np.all(f.read(np.arange(4), f.t_cycle - 1) == 1)
+        assert np.all(f.read(np.arange(4), f.t_cycle) == 0)
 
     def test_check_noop_when_fresh(self):
         f = make(window=100, alpha=0.2, w=4, m=32)
         f.cells[:] = 1
-        f.check_groups(np.asarray([0]), 5)
-        assert np.all(f.cells[:4] == 1)
+        assert np.all(f.read(np.arange(4), 5) == 1)
 
     def test_check_all_groups(self):
         f = make(window=100, alpha=0.2, w=4, m=32)
         f.cells[:] = 1
-        f.check_all_groups(2 * f.t_cycle - 1)
+        f.prepare_query_all(2 * f.t_cycle - 1)
         # after nearly two full cycles every group flipped at least once
         assert np.count_nonzero(f.cells) < 32
 
@@ -103,20 +107,24 @@ class TestCleaning:
         # cells survive — the Eq. 1 failure mode must be preserved
         f = make(window=100, alpha=0.2, w=4, m=32)
         f.cells[:4] = 1
-        f.check_groups(np.asarray([0]), 2 * f.t_cycle)
-        assert np.all(f.cells[:4] == 1)
+        assert np.all(f.read(np.arange(4), 2 * f.t_cycle) == 1)
+        apply_columnar(f, np.asarray([2 * f.t_cycle]), np.asarray([1]), None, UpdateKind.ADD_ONE)
+        assert f.cells[:4].tolist() == [1, 2, 1, 1]
 
-    def test_prepare_insert_cleans(self):
+    def test_insert_cleans_touched_group(self):
         f = make(window=100, alpha=0.2, w=4, m=32)
         f.cells[:] = 1
-        f.prepare_insert(np.asarray([0, 1]), f.t_cycle)
-        assert np.all(f.cells[:4] == 0)
+        apply_columnar(f, np.asarray([f.t_cycle]), np.asarray([1]), None, UpdateKind.ADD_ONE)
+        assert f.cells[:4].tolist() == [0, 1, 0, 0]
+        assert np.all(f.cells[4:] == 1)
+        assert (f.groups_cleaned, f.cells_cleaned) == (1, 4)
 
     def test_empty_value_respected(self):
         f = make(window=100, alpha=0.2, w=4, m=32, dtype=np.uint32, empty_value=99)
         f.cells[:] = 1
-        f.check_groups(np.asarray([0]), f.t_cycle)
-        assert np.all(f.cells[:4] == 99)
+        assert np.all(f.read(np.arange(4), f.t_cycle) == 99)
+        apply_columnar(f, np.asarray([f.t_cycle]), np.asarray([0]), None, UpdateKind.SET_ONE)
+        assert f.cells[:4].tolist() == [1, 99, 99, 99]
 
     def test_reset(self):
         f = make()

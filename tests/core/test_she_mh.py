@@ -5,7 +5,10 @@ import pytest
 
 from repro.common.hashing import splitmix64
 from repro.core import SheMinHash
+from repro.core.csm import UpdateKind
 from repro.exact import ExactJaccard
+
+from helpers import NaiveHardwareFrame, NaiveSoftwareFrame
 
 
 @pytest.fixture(params=["hardware", "software"])
@@ -104,3 +107,59 @@ class TestBasics:
         mh = SheMinHash(64, 32, frame=frame)
         mh.insert_many(0, np.arange(10, dtype=np.uint64))
         assert mh.counts == [10, 0]
+
+
+def _oracle_calls(case, tc, rng):
+    """``(keys, times)`` insert calls; ``times`` None means insert_many."""
+    keys = lambda n: rng.integers(0, 1 << 40, size=n, dtype=np.uint64)  # noqa: E731
+    if case == "irregular-chunks":
+        # 2500 items exceed SheMinHash's internal chunk of 2048
+        return [(keys(n), None) for n in (1, 129, 1, 2500, 7)]
+    if case == "sparse-times":
+        times = np.cumsum(rng.integers(0, tc, size=900))
+        return [(keys(400), times[:400]), (keys(500), times[400:])]
+    if case == "sparse-times-wrapping":
+        # consecutive items up to 3 Tcycle apart inside one call: some
+        # groups flip twice between two items and keep the earlier ones
+        return [(keys(300), np.cumsum(rng.integers(0, 3 * tc, size=300)))]
+    if case == "chunk-wider-than-tcycle":
+        return [(keys(10), None), (keys(5 * tc), None)]
+    if case == "two-cycle-gap":
+        return [
+            (keys(100), None),
+            (keys(60), 100 + 2 * tc + np.arange(60)),
+            (keys(60), 160 + 4 * tc + 7 + np.arange(60)),
+        ]
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["irregular-chunks", "sparse-times", "sparse-times-wrapping",
+     "chunk-wider-than-tcycle", "two-cycle-gap"],
+)
+def test_inserts_match_per_item_oracle(frame, case):
+    """Every insert call leaves cells, marks and the sweep position
+    exactly where Algorithm 1 / the sweep leave them when each item
+    MINs every counter, one touch at a time."""
+    m = 24
+    mh = SheMinHash(40, m, frame=frame, alpha=0.3)
+    fast = mh.frames[0]
+    naive_cls = NaiveHardwareFrame if frame == "hardware" else NaiveSoftwareFrame
+    naive = naive_cls(mh.config, m, empty_value=int(fast.empty_value))
+    rng = np.random.default_rng(21)
+    for keys, times in _oracle_calls(case, mh.config.t_cycle, rng):
+        if times is None:
+            times = mh.counts[0] + np.arange(keys.size)
+            mh.insert_many(0, keys)
+        else:
+            mh.insert_at(0, keys, times)
+        hashes = mh._column_hashes(keys)
+        for i, t in enumerate(times):
+            for j in range(m):
+                naive.touch(j, int(t), UpdateKind.MIN_HASH, int(hashes[i, j]))
+        assert fast.cells.tolist() == naive.cells
+        if frame == "hardware":
+            assert fast.marks.tolist() == naive.marks
+        else:
+            assert fast._boundaries_done == naive._boundaries_done

@@ -3,7 +3,9 @@
 The vectorised batch machinery in ``repro.core.batch`` is the hardest
 code in the package; these references implement Algorithm 1 and the
 software sweep *literally, one touch at a time*, and the equivalence
-tests assert the fast paths match them bit for bit.
+tests assert the fast paths match them bit for bit.  ``clean_groups``
+runs ``CheckGroup`` in place on a real frame: the oracle point reads
+(``read``) are checked against.
 """
 
 from __future__ import annotations
@@ -12,6 +14,21 @@ import numpy as np
 
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
+from repro.core.software_frame import SoftwareFrame
+
+
+def clean_groups(frame, gids, t: int) -> None:
+    """Algorithm 1's ``CheckGroup`` at ``t`` over ``gids``, in place: reset
+    each stale group (stored mark != current mark) and store its current
+    mark.  On a software frame, the sweep to ``t`` (it has no groups)."""
+    if isinstance(frame, SoftwareFrame):
+        frame.advance(t)
+        return
+    gids = np.unique(np.asarray(gids, dtype=np.int64))
+    cur = frame._current_marks(gids, t)
+    stale = frame.marks[gids] != cur
+    frame.cells.reshape(frame.num_groups, frame.group_width)[gids[stale]] = frame.empty_value
+    frame.marks[gids[stale]] = cur[stale]
 
 
 class NaiveHardwareFrame:
