@@ -4,8 +4,9 @@ A 4-shard SHE-CM `StreamEngine` on real `ProcessExecutor` workers is
 wrapped in a `ChaosExecutor` scripted to SIGKILL one worker partway
 through ingest. A `Supervisor` is attached, so the death is absorbed
 inline: the worker restarts from the attach-time checkpoint, the
-replay buffer re-applies every batch flushed since, and the final
-frequencies are bit-identical to a run that never failed.
+supervisor's replay log re-applies every arrival its shards were sent
+since, and the final frequencies are bit-identical to a run that never
+failed.
 
 Act two disables recovery (`RetryPolicy(max_restarts=0)`) and kills
 again: strict queries now raise typed errors naming the down shards,

@@ -80,14 +80,14 @@ from repro.service.executor import (
 from repro.service.faults import ChaosExecutor
 from repro.service.sharding import DEFAULT_SHARD_SEED, partition, shard_ids
 from repro.service.stats import EngineStats, format_stats
-from repro.service.supervisor import ReplayBuffer, RetryPolicy, Supervisor
+from repro.service.supervisor import RetryPolicy, Supervisor
 from repro.service.wal import (
     WAL_FSYNC_POLICIES,
+    MemoryLog,
     WalPosition,
     WriteAheadLog,
     inspect_wal,
     iter_records,
-    replay_into,
     verify_wal,
 )
 
@@ -110,7 +110,6 @@ __all__ = [
     "ChaosExecutor",
     "Supervisor",
     "RetryPolicy",
-    "ReplayBuffer",
     "ShardError",
     "EngineOverloadedError",
     "ShardTimeoutError",
@@ -126,8 +125,8 @@ __all__ = [
     "WAL_FSYNC_POLICIES",
     "WalPosition",
     "WriteAheadLog",
+    "MemoryLog",
     "iter_records",
-    "replay_into",
     "verify_wal",
     "inspect_wal",
     "verify_checkpoint",

@@ -32,12 +32,7 @@ from pathlib import Path
 from repro.common.validation import require_positive_int
 from repro.service.engine import EngineConfig, StreamEngine
 from repro.service.errors import CheckpointCorruptionError
-from repro.service.wal import (
-    WalPosition,
-    checksum,
-    replay_into,
-    verify_checksum,
-)
+from repro.service.wal import WalPosition, checksum, verify_checksum
 
 __all__ = [
     "Checkpointer",
@@ -157,15 +152,24 @@ def save_checkpoint(engine: StreamEngine, directory: str | Path) -> Path:
     engine.stats.record_checkpoint()
     supervisor = getattr(engine, "_supervisor", None)
     if supervisor is not None:
-        # everything flushed so far is durable: the replay buffer can
-        # trim to this cut and the restart breaker refills
+        # everything flushed so far is durable: this cut becomes the
+        # replay base and the restart breaker refills
         supervisor.on_checkpoint(final)
     return final
 
 
 def read_manifest(path: str | Path) -> dict:
-    """The manifest of one checkpoint directory (raises if unreadable)."""
-    return json.loads((Path(path) / _MANIFEST).read_text())
+    """The manifest of one checkpoint directory.
+
+    Raises if it is unreadable, and :class:`CheckpointCorruptionError`
+    when it fails its self-checksum (a bit flip that still parses).
+    """
+    meta = json.loads((Path(path) / _MANIFEST).read_text())
+    if not _manifest_crc_ok(meta):
+        raise CheckpointCorruptionError(
+            f"{path}: manifest failed its self-checksum"
+        )
+    return meta
 
 
 def load_checkpoint_shard(path: str | Path, shard_id: int):
@@ -260,14 +264,12 @@ def verify_checkpoint(path: str | Path) -> dict:
     path = Path(path)
     try:
         meta = read_manifest(path)
+    except CheckpointCorruptionError:
+        raise
     except Exception as exc:
         raise CheckpointCorruptionError(
             f"{path}: manifest unreadable ({exc})"
         ) from exc
-    if not _manifest_crc_ok(meta):
-        raise CheckpointCorruptionError(
-            f"{path}: manifest failed its self-checksum"
-        )
     recorded = {m["name"]: m for m in meta.get("shard_meta", [])}
     for name in meta.get("shards", []):
         f = path / name
@@ -327,9 +329,13 @@ def recover_engine(
     loses nothing.
 
     When the checkpoint records a WAL position (the engine ran with
-    ``wal_dir``), the log suffix is fed back through the normal ingest
-    path — the recovered engine is bit-identical to one that never
-    crashed (up to the durable horizon of the configured fsync policy).
+    ``wal_dir``), the log suffix is replayed into every shard by
+    ``StreamEngine._replay`` — the stamp and partition code ingest
+    runs — and the engine clock moves past it.  The recovered engine is
+    bit-identical to one that never crashed (up to the durable horizon
+    of the configured fsync policy), except under ``shed_oldest``:
+    evictions are not durable, so items shed after they were logged
+    are replayed.
     ``replay_wal=False`` skips that and *truncates* the log at the
     checkpoint's position instead, explicitly discarding the suffix, so
     the log never disagrees with the state that was restored.
@@ -398,7 +404,10 @@ def recover_engine(
         if engine._wal is not None and wal_meta is not None:
             position = WalPosition(*(int(x) for x in wal_meta["position"]))
             if replay_wal:
-                engine._wal_replayed_items = replay_into(engine, position)
+                engine._t, items, batches = engine._replay(
+                    position, engine._t, range(config.num_shards)
+                )
+                engine.stats.record_replay(items, batches)
             else:
                 engine._wal.truncate_to(position)
         return engine

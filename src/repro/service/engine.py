@@ -74,7 +74,7 @@ from repro.service.errors import (
     ShardUnrecoverableError,
 )
 from repro.service.executor import TRANSPORTS, ProcessExecutor, SerialExecutor
-from repro.service.sharding import DEFAULT_SHARD_SEED, shard_ids, shard_of
+from repro.service.sharding import DEFAULT_SHARD_SEED, partition, shard_ids, shard_of
 from repro.service.stats import EngineStats, format_stats
 from repro.service.wal import WAL_FSYNC_POLICIES, WriteAheadLog
 
@@ -88,6 +88,28 @@ __all__ = [
 
 #: admission-control responses when a buffer budget would be breached
 OVERLOAD_POLICIES = ("raise", "shed_oldest", "shed_newest", "block")
+
+#: replay coalesces consecutive same-side log records into batches of
+#: about this many items, so a log of small appends still replays
+#: through wide flushes
+REPLAY_COALESCE_ITEMS = 8192
+
+
+def _coalesced(records):
+    """Concatenate runs of consecutive same-side ``(side, keys)`` records
+    up to :data:`REPLAY_COALESCE_ITEMS`.  Exact for replay: consecutive
+    arrivals get the same times as one batch or many."""
+    pend: list[np.ndarray] = []
+    pend_side = pend_n = 0
+    for side, keys in records:
+        if pend and (side != pend_side or pend_n >= REPLAY_COALESCE_ITEMS):
+            yield pend_side, np.concatenate(pend)
+            pend, pend_n = [], 0
+        pend_side = side
+        pend.append(keys)
+        pend_n += int(keys.size)
+    if pend:
+        yield pend_side, np.concatenate(pend)
 
 
 class _KindsView(Mapping):
@@ -509,13 +531,15 @@ class StreamEngine:
         self._shed_counts = [0] * config.num_shards
         self._last_shed_t: dict[tuple[int, int], int] = {}
         self._queue_high_water = [0] * config.num_shards
-        # durable ingestion log (repro.service.wal): opening an existing
-        # directory recovers the tail (truncating torn appends) and
-        # raises WalCorruptionError on mid-log damage — an engine must
-        # refuse to start on a log it cannot trust
+        # (first, last) times of each eviction per (shard, side) since
+        # the supervisor's base: logged, never flushed, never replayed
+        self._shed_runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        # the suffix log ingest appends to (repro.service.wal): the WAL,
+        # else a supervisor's MemoryLog.  Opening a WAL directory
+        # truncates torn appends and raises WalCorruptionError on
+        # mid-log damage — an engine must not start on an untrusted log
         self._wal = None
-        self._wal_replaying = False
-        self._wal_replayed_items = 0
+        self._log = None
         if config.wal_dir is not None:
             self._wal = WriteAheadLog(
                 config.wal_dir,
@@ -525,6 +549,7 @@ class StreamEngine:
                 clock=clock,
                 registry=self.obs.registry if self.obs.enabled else None,
             )
+            self._log = self._wal
 
     def _init_shard_metrics(self) -> None:
         """Pre-resolve per-shard metric children so the hot path is one
@@ -658,26 +683,19 @@ class StreamEngine:
             ingest_start = perf()
             trace_id = new_id() if self.obs.tracer.enabled else None
             stage_t0 = perf()
-        # during WAL replay the arrivals were already admitted (and
-        # logged) before the crash: re-running admission control could
-        # shed them a second time and break bit-identical recovery
-        admit = (
-            None if self._wal_replaying
-            else self._admit(arr, sids, side)  # may raise EngineOverloadedError
-        )
+        admit = self._admit(arr, sids, side)  # may raise EngineOverloadedError
         if admit is not None:
             arr = arr[admit]
             sids = sids[admit]
         if timed:
             stages.observe("admit", perf() - stage_t0, trace_id)
-        if self._wal is not None and not self._wal_replaying and arr.size:
-            # durability point: the *admitted* batch hits the log before
-            # it is stamped — shed/rejected arrivals are never logged,
-            # and a failed append (WalWriteError) rejects the batch
-            # before any clock tick, like the raise overload policy
+        if self._log is not None and arr.size:
+            # the log's one append point: the *admitted* batch, before
+            # it is stamped — a failed WAL append (WalWriteError)
+            # rejects it before any clock tick, like the raise policy
             if timed:
                 stage_t0 = perf()
-            self._wal.append(side, arr)
+            self._log.append(side, arr)
             if timed:
                 stages.observe("wal_append", perf() - stage_t0, trace_id)
         if timed:
@@ -685,27 +703,12 @@ class StreamEngine:
         t0 = self._t[side]
         times = t0 + np.arange(arr.size, dtype=np.int64)
         self._t[side] = t0 + int(arr.size)
-        # partition in one vector pass: a stable sort by shard id turns
-        # the batch into contiguous per-shard runs whose slices are
-        # views, so buffers hold slices of one reordered array instead
-        # of num_shards masked copies; within-shard time order (hence
-        # bit-identical shard substreams) is preserved by stability
-        if self.config.num_shards == 1:
-            starts = (0,)
-            counts = np.asarray([arr.size], dtype=np.int64)
-            arr_p, times_p = arr, times
-        else:
-            order = np.argsort(sids, kind="stable")
-            counts = np.bincount(sids, minlength=self.config.num_shards)
-            starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-            arr_p = arr[order]
-            times_p = times[order]
-        for s in np.flatnonzero(counts):
-            s = int(s)
-            n = int(counts[s])
-            lo = int(starts[s])
+        for s, keys_s, times_s in partition(
+            arr, times, sids, self.config.num_shards
+        ):
+            n = int(keys_s.size)
             buf = self._buffers.setdefault((s, side), _ShardBuffer())
-            buf.append(arr_p[lo : lo + n], times_p[lo : lo + n])
+            buf.append(keys_s, times_s)
             self._m_shard_items[s].inc(n)
             depth = buf.count
             if self._two_stream:
@@ -924,10 +927,14 @@ class StreamEngine:
                     best_side, best_t, best_buf = side, ft, buf
             if best_buf is None:
                 break
-            head = int(best_buf.keys[0].size)
-            dropped = best_buf.shed_oldest(min(remaining, head))
+            head = best_buf.times[0]
+            dropped = best_buf.shed_oldest(min(remaining, int(head.size)))
             if dropped == 0:
                 break
+            if self._supervisor is not None:
+                self._shed_runs.setdefault((s, best_side), []).append(
+                    (int(head[0]), int(head[dropped - 1]))
+                )
             self._record_shed(s, best_side, dropped)
             remaining -= dropped
         return n - remaining
@@ -939,13 +946,13 @@ class StreamEngine:
         assignment is a scalar :func:`repro.service.sharding.shard_of`
         and the item is staged as a bare scalar in its shard buffer,
         sealed into an array only at flush.  Whenever a slow-path
-        feature is active (admission control, WAL, stage telemetry)
-        it delegates to the batch path, so behaviour and resulting
-        state are identical either way.
+        feature is active (admission control, a suffix log, stage
+        telemetry) it delegates to the batch path, so behaviour and
+        resulting state are identical either way.
         """
         if (
             self.config.bounded
-            or self._wal is not None
+            or self._log is not None
             or self._stages.enabled
         ):
             self.ingest(np.asarray([key], dtype=np.uint64), side)
@@ -1082,10 +1089,6 @@ class StreamEngine:
             n_items += int(keys.size)
             staged.append(((s, side), keys, times))
             batches.append((s, keys, times, side if self._two_stream else None))
-        if self._supervisor is not None:
-            # log before sending: a batch whose ack never arrives must
-            # still be replayable after restart-from-checkpoint
-            self._supervisor.record_sent(batches)
         try:
             tracer = self.obs.tracer
             stages = self._stages
@@ -1124,13 +1127,13 @@ class StreamEngine:
                     self._down.update(
                         failed & {s for (s, _side), _, _ in staged}
                     )
-                if self._supervisor is None:
-                    # retention: unacknowledged batches return to their
-                    # buffers (front, preserving per-shard time order);
-                    # with a supervisor the replay buffer owns them
-                    for (s, side), keys, times in reversed(staged):
-                        if s in failed:
-                            self._buffers[s, side].requeue(keys, times)
+                # retention: unacknowledged batches return to their
+                # buffers (front, preserving per-shard time order); a
+                # later worker replay stops at each buffer's front, so
+                # they still apply exactly once
+                for (s, side), keys, times in reversed(staged):
+                    if s in failed:
+                        self._buffers[s, side].requeue(keys, times)
                 applied = n_items - sum(
                     int(keys.size)
                     for (s, _side), keys, _times in staged
@@ -1143,9 +1146,54 @@ class StreamEngine:
                     raise
                 return
             # recovered: the failed worker was rebuilt from checkpoint
-            # and every logged batch (including this round's) replayed
+            # and the log replayed up to its buffers' fronts — which
+            # includes this round's drained batches
         self._last_drain = self._clock()
         self.stats.record_flush(n_items, self._last_drain - started)
+
+    def _replay(
+        self, start, clock, shards, cutoffs=None
+    ) -> tuple[list[int], int, int]:
+        """Re-apply the logged suffix from ``start`` to ``shards``.
+
+        The one replay routine, behind worker restarts and
+        ``recover_engine``: log records are stamped from a copy of
+        ``clock`` and split by :func:`~repro.service.sharding.partition`
+        exactly as :meth:`ingest` did.  Per ``(shard, side)`` only items
+        below ``cutoffs[shard, side]`` are applied (the rest still sit in
+        that buffer; no cutoff keeps all), minus the shed runs recorded
+        since the base checkpoint.  Returns ``(clock, items, batches)``:
+        the clock after the last record, and what was sent.
+        """
+        cfg = self.config
+        clock = list(clock)
+        cutoffs = cutoffs or {}
+        items = batches = 0
+        for side, keys in _coalesced(self._log.records(start)):
+            times = clock[side] + np.arange(keys.size, dtype=np.int64)
+            clock[side] += int(keys.size)
+            sids = shard_ids(keys, cfg.num_shards, cfg.shard_seed)
+            sends = []
+            for s, k, t in partition(keys, times, sids, cfg.num_shards):
+                if s not in shards:
+                    continue
+                cut = cutoffs.get((s, side))
+                if cut is not None:
+                    n = int(np.searchsorted(t, cut))
+                    k, t = k[:n], t[:n]
+                runs = self._shed_runs.get((s, side))
+                if runs and t.size:
+                    lo, hi = np.asarray(runs, dtype=np.int64).T
+                    i = np.searchsorted(hi, t)  # first run ending at/after t
+                    keep = (i == hi.size) | (t < lo[np.minimum(i, hi.size - 1)])
+                    k, t = k[keep], t[keep]
+                if t.size:
+                    sends.append((s, k, t, side if self._two_stream else None))
+                    items += int(t.size)
+            if sends:
+                self._exec.flush_many(sends)
+                batches += len(sends)
+        return clock, items, batches
 
     def queue_depths(self) -> list[int]:
         """Buffered items per shard (summed over sides)."""
@@ -1542,7 +1590,7 @@ class StreamEngine:
             "fsyncs_total": w.fsyncs,
             "torn_bytes_dropped": w.torn_bytes_dropped,
             "last_error": w.last_error,
-            "replayed_items": self._wal_replayed_items,
+            "replayed_items": self.stats.items_replayed,
         }
 
     def stats_snapshot(self, *, tick: bool | None = None) -> dict:

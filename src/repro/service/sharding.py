@@ -46,17 +46,27 @@ def shard_ids(keys: np.ndarray, num_shards: int, seed: int = DEFAULT_SHARD_SEED)
 def partition(
     keys: np.ndarray,
     times: np.ndarray,
+    sids: np.ndarray,
     num_shards: int,
-    seed: int = DEFAULT_SHARD_SEED,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split a timed batch into per-shard ``(keys, times)`` sub-batches.
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Split a stamped batch into per-shard runs ``(shard, keys, times)``.
 
-    Order within each shard is preserved (times stay non-decreasing),
-    which the frames' batch-update derivations require.
+    The engine's one partition routine, for ingest and replay alike.
+    ``sids`` are the keys' :func:`shard_ids`.  A stable argsort by shard
+    id makes the runs slices of one reordered copy, in shard order, with
+    each shard's times still non-decreasing (the frames' batch paths
+    need that).  Runs never alias ``keys``, so callers may reuse it.
     """
     if num_shards == 1:
-        return [(keys, times)]
-    sids = shard_ids(keys, num_shards, seed)
-    return [
-        (keys[sids == s], times[sids == s]) for s in range(num_shards)
-    ]
+        return [(0, keys.copy(), times)] if keys.size else []
+    order = np.argsort(sids, kind="stable")
+    counts = np.bincount(sids, minlength=num_shards).tolist()
+    keys_p = keys[order]
+    times_p = times[order]
+    runs = []
+    lo = 0
+    for s, n in enumerate(counts):
+        if n:
+            runs.append((s, keys_p[lo : lo + n], times_p[lo : lo + n]))
+            lo += n
+    return runs

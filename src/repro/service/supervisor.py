@@ -4,18 +4,21 @@ A sharded engine's failure story has two halves.  The *mechanism* —
 deadlines, typed errors, ``restart_worker`` — lives in the executors.
 This module is the *policy*: :class:`Supervisor` watches worker
 liveness, and when an RPC times out or a worker dies it rebuilds the
-worker's shards from the newest complete checkpoint plus a bounded
-in-memory :class:`ReplayBuffer` of every batch flushed since that
-checkpoint.  Restart-from-base-plus-replay (rather than "resend the
-failed batch") is forced by timeout ambiguity: a batch whose ack was
-lost may already have applied, and resending it blind would
-double-count; rebuilding from a durable base makes replay exact, so a
-recovered shard is *bit-identical* to one that never failed (the chaos
-tests assert this).
+worker's shards from the newest complete checkpoint, then replays the
+engine's suffix log through ``StreamEngine._replay`` — the stamp and
+partition code ``ingest`` runs — up to the front of each of the
+worker's buffers.  The log is the engine's write-ahead log when it has
+one, otherwise a bounded in-memory :class:`~repro.service.wal.MemoryLog`
+the supervisor attaches.  Restart-from-base-plus-replay (rather than
+"resend the failed batch") is forced by timeout ambiguity: a batch
+whose ack was lost may already have applied, and resending it blind
+would double-count; rebuilding from a durable base makes replay exact,
+so a recovered shard is *bit-identical* to one that never failed (the
+chaos tests assert this).
 
 Retries follow :class:`RetryPolicy` — exponential backoff between
 attempts and a per-worker circuit breaker (``max_restarts`` between
-successful checkpoints).  When the breaker opens, the replay buffer
+successful checkpoints).  When the breaker opens, the in-memory log
 overflows, or the base checkpoint is unreadable, the worker's shards
 are marked **down**: strict engine calls raise
 :class:`ShardUnrecoverableError`, while ``strict=False`` queries keep
@@ -25,8 +28,8 @@ Papapetrou et al., PAPERS.md).
 
 The supervisor takes a checkpoint at attach time, so it always owns a
 durable base covering everything the engine has flushed; thereafter
-every successful checkpoint trims the replay buffer and resets the
-breaker.
+every successful checkpoint becomes the new base, empties the
+in-memory log and resets the breaker.
 """
 
 from __future__ import annotations
@@ -37,9 +40,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from repro.common.validation import require_positive_int
 from repro.obs import OBS_DISABLED
 from repro.service.checkpoint import (
     latest_checkpoint,
@@ -52,10 +52,9 @@ from repro.service.errors import (
     ShardFailedError,
     ShardUnrecoverableError,
 )
-from repro.service.sharding import shard_ids as _shard_ids
-from repro.service.wal import WalPosition, iter_records
+from repro.service.wal import MemoryLog, WalPosition
 
-__all__ = ["RetryPolicy", "ReplayBuffer", "Supervisor"]
+__all__ = ["RetryPolicy", "Supervisor"]
 
 
 @dataclass(frozen=True)
@@ -85,50 +84,6 @@ class RetryPolicy:
         )
 
 
-class ReplayBuffer:
-    """Bounded log of flushed batches since the last durable base.
-
-    Batches are recorded *before* they are sent (so a batch whose ack
-    never arrives is still replayable) and kept until a checkpoint
-    makes them durable.  The bound is in items; exceeding it sets
-    ``overflowed`` and drops the log — recovery is then impossible
-    until the next checkpoint resets the buffer, and restart attempts
-    raise :class:`ShardUnrecoverableError`.
-    """
-
-    def __init__(self, limit_items: int = 1 << 22):
-        self.limit_items = require_positive_int("limit_items", limit_items)
-        self._batches: list[tuple[int, np.ndarray, np.ndarray, int | None]] = []
-        self.items = 0
-        self.overflowed = False
-
-    def __len__(self) -> int:
-        return len(self._batches)
-
-    def record(self, batches) -> None:
-        """Log ``(shard_id, keys, times, side)`` batches about to be sent."""
-        if self.overflowed:
-            return  # already unrecoverable; don't hoard memory
-        for shard_id, keys, times, side in batches:
-            self._batches.append((shard_id, keys, times, side))
-            self.items += int(keys.size)
-        if self.items > self.limit_items:
-            self.overflowed = True
-            self._batches.clear()
-            self.items = 0
-
-    def batches_for(self, shard_ids) -> list:
-        """Recorded batches owned by ``shard_ids``, oldest first."""
-        wanted = set(shard_ids)
-        return [b for b in self._batches if b[0] in wanted]
-
-    def reset(self) -> None:
-        """A checkpoint made everything durable; start a fresh log."""
-        self._batches.clear()
-        self.items = 0
-        self.overflowed = False
-
-
 class Supervisor:
     """Monitors one engine's workers and rebuilds them after failures.
 
@@ -137,15 +92,17 @@ class Supervisor:
             attaches itself (``engine._supervisor``) so flush failures
             route here automatically.
         checkpoint_dir: where durable bases live.  An attach-time
-            checkpoint is taken immediately, so the replay buffer's
-            coverage starts exactly at a durable cut.
+            checkpoint is taken immediately, so the replay suffix
+            starts exactly at a durable cut.
         policy: restart/backoff/breaker knobs.
-        replay_limit_items: replay-buffer bound (items).
+        replay_limit_items: bound (admitted items since the base
+            checkpoint) of the in-memory log attached when the engine
+            has no WAL.
         sleep: injectable backoff sleeper (tests pin it to a recorder).
 
     Use :func:`repro.service.checkpoint.save_checkpoint` (or a
     ``Checkpointer``) as usual — completed checkpoints notify the
-    supervisor, trimming the replay buffer and resetting the breaker.
+    supervisor, moving its base and resetting the breaker.
     """
 
     def __init__(
@@ -160,68 +117,35 @@ class Supervisor:
         self.engine = engine
         self.directory = Path(checkpoint_dir)
         self.policy = policy or RetryPolicy()
-        self.replay = ReplayBuffer(replay_limit_items)
         self._sleep = sleep
         self._restarts: dict[int, int] = defaultdict(int)
         self._base_path: Path | None = None
-        # WAL fallback: when the engine runs with a write-ahead log, the
-        # base checkpoint's WAL position + clock let a worker replay
-        # from *disk* after the in-memory buffer overflows — the replay
-        # buffer effectively trims to the WAL's durable horizon
-        self._base_wal: WalPosition | None = None
-        self._base_clock: list[int] | None = None
+        # why the last recovery gave up (None after a success)
+        self.last_error: str | None = None
         engine._supervisor = self
-        # share the engine's obs bundle (no-op stand-ins when disabled):
-        # replay-buffer exposure is the recovery-risk metric — how much
-        # stream is one worker death away from needing a replay
+        # share the engine's obs bundle (no-op stand-ins when disabled)
         self.obs = getattr(engine, "obs", None) or OBS_DISABLED
-        reg = self.obs.registry
-        self._g_replay_batches = reg.gauge(
-            "supervisor_replay_batches", "Batches logged since the base checkpoint"
-        )
-        self._g_replay_items = reg.gauge(
-            "supervisor_replay_items", "Items logged since the base checkpoint"
-        )
-        self._g_replay_overflowed = reg.gauge(
-            "supervisor_replay_overflowed",
-            "1 when the replay log overflowed (recovery impossible until "
-            "the next checkpoint)",
-        )
-        # establish the durable base this buffer is relative to
+        # the replay suffix: the engine's WAL when it has one, else an
+        # in-memory log of the same records (None means "the WAL")
+        self.log: MemoryLog | None = None
+        if engine._log is None:
+            self.log = engine._log = MemoryLog(
+                replay_limit_items, registry=self.obs.registry
+            )
+        # establish the durable base the suffix is relative to
         save_checkpoint(engine, self.directory)
         if self._base_path is None:  # pragma: no cover - hook always fires
             self._base_path = latest_checkpoint(self.directory)
 
     # -- engine hooks --------------------------------------------------------
 
-    def record_sent(self, batches) -> None:
-        """Called by the engine just before batches go to the executor."""
-        self.replay.record(batches)
-        self._update_replay_gauges()
-
     def on_checkpoint(self, path: Path) -> None:
         """Called after a checkpoint publishes: new base, fresh budget."""
         self._base_path = Path(path)
-        self._base_wal = None
-        self._base_clock = None
-        try:
-            meta = read_manifest(self._base_path)
-            wal_meta = meta.get("wal")
-            if wal_meta is not None:
-                self._base_wal = WalPosition(
-                    *(int(x) for x in wal_meta["position"])
-                )
-                self._base_clock = [int(t) for t in meta["clock"]]
-        except Exception:
-            pass  # no WAL fallback from this base; replay buffer only
-        self.replay.reset()
+        if self.log is not None:
+            self.log.reset()
+        self.engine._shed_runs.clear()
         self._restarts.clear()
-        self._update_replay_gauges()
-
-    def _update_replay_gauges(self) -> None:
-        self._g_replay_batches.set(len(self.replay))
-        self._g_replay_items.set(self.replay.items)
-        self._g_replay_overflowed.set(1 if self.replay.overflowed else 0)
 
     # -- failure handling ----------------------------------------------------
 
@@ -274,114 +198,59 @@ class Supervisor:
             self._sleep(self.policy.backoff_s(attempt))
             self._restarts[worker_id] = attempt + 1
             try:
-                base = self._base_shards(worker_id, shard_ids)
+                start, clock, base = self._load_base(worker_id, shard_ids)
                 executor.restart_worker(worker_id, base)
-                self._replay_worker(worker_id, shard_ids)
+                # items still buffered flush normally after recovery
+                cutoffs = {
+                    key: buf.front_time()
+                    for key, buf in engine._buffers.items()
+                    if key[0] in shard_ids and buf.count
+                }
+                _clock, items, batches = engine._replay(
+                    start, clock, shard_ids, cutoffs
+                )
+                engine.stats.record_replay(items, batches)
                 executor.ping(worker_id)
-            except ShardUnrecoverableError:
+            except ShardUnrecoverableError as exc:
+                self.last_error = str(exc)
                 engine._down.update(shard_ids)
                 return False
             except ShardError:
                 continue  # worker died again mid-recovery; next attempt
+            self.last_error = None
             engine.stats.record_restart()
             engine._down.difference_update(shard_ids)
             return True
 
-    def _wal_fallback_ready(self) -> bool:
-        """Can a worker be replayed from the engine's WAL instead of
-        the in-memory buffer?  Needs a live log and a base checkpoint
-        that recorded its WAL position and clock."""
-        return (
-            getattr(self.engine, "_wal", None) is not None
-            and self._base_wal is not None
-            and self._base_clock is not None
-        )
+    def _load_base(self, worker_id: int, shard_ids) -> tuple:
+        """The base cut for one worker: ``(log start, clock, shards)``.
 
-    def _base_shards(self, worker_id: int, shard_ids) -> dict:
-        """Load the worker's shards from the base checkpoint."""
-        if self.replay.overflowed and not self._wal_fallback_ready():
+        Clock and WAL position come from the base manifest (its
+        self-checksum verified); the in-memory log starts at the base
+        by construction.  Anything unusable raises
+        :class:`ShardUnrecoverableError` naming why.
+        """
+        if self.log is not None and self.log.overflowed:
             raise ShardUnrecoverableError(
-                f"replay buffer overflowed its {self.replay.limit_items}-item "
-                "bound; batches since the last checkpoint are gone",
+                f"replay log overflowed its {self.log.limit_items}-item "
+                "bound; arrivals since the last checkpoint are gone",
                 shard_ids=shard_ids, worker_ids=(worker_id,),
             )
         path = self._base_path
-        if path is None or not path.is_dir():
-            raise ShardUnrecoverableError(
-                f"base checkpoint {path} is missing",
-                shard_ids=shard_ids, worker_ids=(worker_id,),
-            )
         try:
-            return {s: load_checkpoint_shard(path, s) for s in shard_ids}
-        except ShardUnrecoverableError:
-            raise
+            meta = read_manifest(path)
+            clock = [int(t) for t in meta["clock"]]
+            start = None if self.log is not None else WalPosition(
+                *(int(x) for x in meta["wal"]["position"])
+            )
+            shards = {s: load_checkpoint_shard(path, s) for s in shard_ids}
         except Exception as exc:
             raise ShardUnrecoverableError(
                 f"base checkpoint {path} is unreadable ({exc}); worker "
                 f"{worker_id} cannot be rebuilt",
                 shard_ids=shard_ids, worker_ids=(worker_id,),
             ) from exc
-
-    def _replay_worker(self, worker_id: int, shard_ids) -> None:
-        """Re-apply every logged batch owned by the restarted worker."""
-        if self.replay.overflowed:
-            self._replay_worker_from_wal(worker_id, shard_ids)
-            return
-        engine, executor = self.engine, self.engine._exec
-        n_items = n_batches = 0
-        for shard_id, keys, times, side in self.replay.batches_for(shard_ids):
-            executor.flush(shard_id, keys, times, side)
-            n_batches += 1
-            n_items += int(keys.size)
-        engine.stats.record_replay(n_items, n_batches)
-
-    def _replay_worker_from_wal(self, worker_id: int, shards) -> None:
-        """Rebuild a worker's flushed suffix from the engine's WAL.
-
-        The in-memory log is gone (overflowed), but the WAL holds every
-        admitted batch since the base checkpoint.  Walking it from the
-        base position while re-deriving union-stream times from the
-        base clock reproduces exactly the (keys, times) the engine
-        stamped — the same math :meth:`StreamEngine.ingest` ran.  Items
-        still sitting in the engine's buffers are the contiguous
-        *un-flushed* suffix per (shard, side); replay stops short of
-        each buffer's front time so they are not applied twice (the
-        normal flush path will deliver them).
-        """
-        engine, executor = self.engine, self.engine._exec
-        cfg = engine.config
-        sides = (0, 1) if engine._two_stream else (0,)
-        wanted = set(shards)
-        cutoff: dict[tuple[int, int], int] = {}
-        for s in wanted:
-            for side in sides:
-                buf = engine._buffers.get((s, side))
-                front = buf.front_time() if buf is not None else None
-                cutoff[s, side] = engine._t[side] if front is None else front
-        t = list(self._base_clock)
-        n_items = n_batches = 0
-        for _pos, side, keys in iter_records(
-            engine._wal.directory, start=self._base_wal
-        ):
-            times = t[side] + np.arange(keys.size, dtype=np.int64)
-            t[side] += int(keys.size)
-            owners = _shard_ids(keys, cfg.num_shards, cfg.shard_seed)
-            for s in wanted:
-                mask = owners == s
-                if not mask.any():
-                    continue
-                keep = times[mask] < cutoff[s, side]
-                if not keep.any():
-                    continue
-                executor.flush(
-                    s,
-                    keys[mask][keep],
-                    times[mask][keep],
-                    side if engine._two_stream else None,
-                )
-                n_batches += 1
-                n_items += int(np.count_nonzero(keep))
-        engine.stats.record_replay(n_items, n_batches)
+        return start, clock, shards
 
     # -- liveness ------------------------------------------------------------
 
@@ -423,14 +292,16 @@ class Supervisor:
 
     def snapshot(self) -> dict:
         """Supervision counters for dashboards."""
+        log = self.log
         out = {
-            "replay_buffer_batches": len(self.replay),
-            "replay_buffer_items": self.replay.items,
-            "replay_buffer_overflowed": self.replay.overflowed,
+            "replay_source": "wal" if log is None else "memory",
+            "replay_log_batches": None if log is None else len(log),
+            "replay_log_items": None if log is None else log.items,
+            "replay_log_overflowed": log is not None and log.overflowed,
             "restarts_since_checkpoint": dict(self._restarts),
             "base_checkpoint": str(self._base_path),
             "down_shards": sorted(self.engine._down),
-            "wal_fallback_available": self._wal_fallback_ready(),
+            "last_error": self.last_error,
         }
         # overload context: a down shard under admission control keeps
         # at most the retention cap buffered, and anything it shed

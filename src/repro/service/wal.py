@@ -1,14 +1,27 @@
 """Durable ingestion write-ahead log: segmented, checksummed, replayable.
 
-``StreamEngine`` with ``EngineConfig(wal_dir=...)`` appends every
-*admitted* ingest batch here **after** admission control but **before**
-the batch is stamped with union-stream times.  That ordering is what
-makes replay exact:
+The engine's suffix source.  ``StreamEngine`` appends every *admitted*
+ingest batch to its log **after** admission control but **before** the
+batch is stamped with union-stream times, and
+``StreamEngine._replay`` rebuilds shards from a checkpoint plus the
+log's suffix by re-running that stamping and partitioning.  The log
+has two backends with one record shape, ``(side, keys)``:
 
-* shed / rejected arrivals never reach the log, so a replayed stream is
-  precisely the admitted stream and the PR 5 conservation identity
-  (``ingested == flushed + buffered + shed + retained_down``) closes
-  the same way on recovery as it did live;
+* :class:`WriteAheadLog` — on disk, when ``EngineConfig(wal_dir=...)``
+  is set; it serves both a supervisor's worker restarts and
+  ``recover_engine`` after a process crash;
+* :class:`MemoryLog` — bounded and in memory, attached by a
+  ``Supervisor`` to engines without a WAL; it serves worker restarts
+  only and lasts until the next checkpoint.
+
+The append-before-stamp ordering is what makes replay exact:
+
+* rejected and turned-away arrivals (``raise`` / ``block`` /
+  ``shed_newest``) never reach the log, so a replayed stream is
+  precisely the admitted stream.  ``shed_oldest`` evicts buffered items
+  *after* they were logged; the engine records those evictions for
+  worker replay, but they are not durable, so ``recover_engine`` under
+  ``shed_oldest`` replays them;
 * stamping happens only if the append succeeded, so a batch that could
   not be made durable never consumes clock ticks — the caller can back
   off and retry exactly as with the ``raise`` overload policy.
@@ -62,15 +75,16 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from repro.common.validation import require_positive_int
 from repro.obs import NULL_REGISTRY
 from repro.service.errors import WalCorruptionError, WalWriteError
 
 __all__ = [
     "WAL_FSYNC_POLICIES",
+    "MemoryLog",
     "WalPosition",
     "WriteAheadLog",
     "iter_records",
-    "replay_into",
     "verify_wal",
     "inspect_wal",
     "checksum",
@@ -449,6 +463,14 @@ class WriteAheadLog:
         """Position after the last appended record."""
         return WalPosition(self._seg, self._offset)
 
+    def records(
+        self, start: WalPosition | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """``(side, keys)`` of every record from ``start``, in order
+        (see :func:`iter_records` for the failure semantics)."""
+        for _pos, side, keys in iter_records(self.directory, start):
+            yield side, keys
+
     def durable_position(self) -> WalPosition:
         """Position after the last *fsynced* record — what a power cut
         cannot take away."""
@@ -560,7 +582,77 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-# -- reading / replay --------------------------------------------------------
+class MemoryLog:
+    """Bounded in-memory suffix log for supervised engines without a WAL.
+
+    Holds the same ``(side, keys)`` records the WAL would, appended at
+    the same point of ``StreamEngine.ingest``, from the supervisor's
+    base checkpoint on.  The bound counts admitted items, buffered ones
+    included; exceeding it sets ``overflowed`` and drops every record —
+    worker restarts are then impossible until the next checkpoint
+    calls :meth:`reset`.  Records own their keys (a copy is taken on
+    append), so callers may reuse their arrays.
+
+    Args:
+        limit_items: the bound, in items.
+        registry: a :class:`repro.obs.Registry` for the
+            ``supervisor_replay_*`` gauges; None keeps them on no-op
+            stand-ins.
+    """
+
+    def __init__(self, limit_items: int = 1 << 22, *, registry=None):
+        self.limit_items = require_positive_int("limit_items", limit_items)
+        self._records: list[tuple[int, np.ndarray]] = []
+        self.items = 0
+        self.overflowed = False
+        reg = registry if registry is not None else NULL_REGISTRY
+        self._g_records = reg.gauge(
+            "supervisor_replay_batches",
+            "Ingest batches in the in-memory replay log",
+        )
+        self._g_items = reg.gauge(
+            "supervisor_replay_items",
+            "Admitted items in the in-memory replay log",
+        )
+        self._g_overflowed = reg.gauge(
+            "supervisor_replay_overflowed",
+            "1 when the replay log overflowed (recovery impossible until "
+            "the next checkpoint)",
+        )
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def append(self, side: int, keys: np.ndarray) -> None:
+        """Log one admitted batch (dropped once the log overflowed)."""
+        if self.overflowed:
+            return  # already unrecoverable; don't hoard memory
+        self._records.append((side, np.array(keys, dtype=np.uint64)))
+        self.items += int(keys.size)
+        if self.items > self.limit_items:
+            self.overflowed = True
+            self._records.clear()
+            self.items = 0
+        self._publish()
+
+    def records(self, start: int | None = None):
+        """``(side, keys)`` of every record from index ``start``."""
+        return iter(self._records[start or 0:])
+
+    def reset(self) -> None:
+        """A checkpoint made everything durable; start a fresh log."""
+        self._records.clear()
+        self.items = 0
+        self.overflowed = False
+        self._publish()
+
+    def _publish(self) -> None:
+        self._g_records.set(len(self._records))
+        self._g_items.set(self.items)
+        self._g_overflowed.set(1 if self.overflowed else 0)
+
+
+# -- reading -----------------------------------------------------------------
 
 
 def iter_records(
@@ -606,65 +698,6 @@ def iter_records(
                 np.uint64, copy=True
             )
             yield WalPosition(seq, end), side, keys
-
-
-#: replay feeds the engine batches of roughly this many items —
-#: consecutive same-side records are coalesced up to the cap, so a log
-#: written one small append at a time still replays through full-width
-#: columnar flushes instead of thousands of tiny ones
-REPLAY_COALESCE_ITEMS = 8192
-
-
-def replay_into(engine, start: WalPosition | None = None) -> int:
-    """Feed the WAL suffix from ``start`` through ``engine.ingest``.
-
-    The engine's ``_wal_replaying`` flag suppresses re-appending (the
-    records are already in the log) and re-running admission control
-    (the items were admitted before the crash), so the replayed engine
-    is bit-identical to one that never crashed.  Returns the number of
-    items replayed.
-
-    Records are already columnar on disk (one side byte, then the keys
-    as little-endian ``uint64`` — the same key column the shm ring
-    ships), so consecutive same-side records are concatenated into
-    batches of up to :data:`REPLAY_COALESCE_ITEMS` before ingesting.
-    This is exact: replay skips admission, and stamping consecutive
-    arrivals assigns the same union-stream times whether they arrive
-    as one batch or many.
-    """
-    wal = getattr(engine, "_wal", None)
-    if wal is None:
-        raise ValueError("engine has no write-ahead log to replay")
-    two_stream = getattr(engine, "_two_stream", False)
-    n = 0
-    engine._wal_replaying = True
-    pend: list[np.ndarray] = []
-    pend_side = 0
-    pend_n = 0
-
-    def _drain() -> None:
-        nonlocal pend, pend_n
-        if not pend:
-            return
-        batch = pend[0] if len(pend) == 1 else np.concatenate(pend)
-        engine.ingest(batch, side=pend_side if two_stream else None)
-        pend = []
-        pend_n = 0
-
-    try:
-        for _pos, side, keys in iter_records(wal.directory, start=start):
-            if pend and side != pend_side:
-                _drain()
-            pend_side = side
-            pend.append(keys)
-            pend_n += int(keys.size)
-            n += int(keys.size)
-            if pend_n >= REPLAY_COALESCE_ITEMS:
-                _drain()
-        _drain()
-    finally:
-        engine._wal_replaying = False
-    return n
 
 
 def verify_wal(directory: str | Path) -> dict:

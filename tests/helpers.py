@@ -5,7 +5,8 @@ code in the package; these references implement Algorithm 1 and the
 software sweep *literally, one touch at a time*, and the equivalence
 tests assert the fast paths match them bit for bit.  ``clean_groups``
 runs ``CheckGroup`` in place on a real frame: the oracle point reads
-(``read``) are checked against.
+(``read``) are checked against.  ``partition`` is the masked-copy
+reference for the engine's argsort partition.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 from repro.core.software_frame import SoftwareFrame
+from repro.service.sharding import DEFAULT_SHARD_SEED, shard_ids
 
 
 def clean_groups(frame, gids, t: int) -> None:
@@ -113,3 +115,15 @@ def zipf_stream(n: int, universe: int, seed: int = 0, skew: float = 1.1) -> np.n
     p = ranks**-skew
     p /= p.sum()
     return rng.choice(np.arange(universe, dtype=np.uint64), size=n, p=p)
+
+
+def partition(
+    keys: np.ndarray,
+    times: np.ndarray,
+    num_shards: int,
+    seed: int = DEFAULT_SHARD_SEED,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split a timed batch into per-shard ``(keys, times)`` sub-batches,
+    one boolean mask per shard, order within each shard preserved."""
+    sids = shard_ids(keys, num_shards, seed)
+    return [(keys[sids == s], times[sids == s]) for s in range(num_shards)]

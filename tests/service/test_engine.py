@@ -12,9 +12,9 @@ from repro.core import (
     TimedStream,
     merge_many,
 )
+from helpers import partition
 from repro.exact import ExactWindow
 from repro.service import EngineConfig, StreamEngine, shard_ids
-from repro.service.sharding import partition
 
 
 def make_engine(kind, window, size, shards, **sketch_kwargs):
@@ -126,6 +126,27 @@ class TestShardInvariance:
         single.insert_many(stream)
         probes = np.arange(200, dtype=np.uint64)
         assert np.array_equal(eng.frequency_many(probes), single.frequency_many(probes))
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_buffers_own_their_keys(self, shards):
+        """A caller reusing its array must not change keys that wait in
+        the buffers (one shard used to buffer the caller's array)."""
+        def engine():
+            return StreamEngine(EngineConfig(
+                "cm", window=2048, size=1024, num_shards=shards,
+                flush_batch_size=10**6, flush_interval_s=None,
+                sketch_kwargs={"seed": 7},
+            ))
+
+        eng, ref = engine(), engine()
+        a = np.arange(100, dtype=np.uint64)
+        eng.ingest(a)
+        ref.ingest(np.arange(100, dtype=np.uint64))
+        a[:] = 999
+        probes = np.asarray([0, 1, 999], dtype=np.uint64)
+        got = eng.frequency_many(probes)
+        assert got[0] >= 1 and got[2] == 0
+        assert np.array_equal(got, ref.frequency_many(probes))
 
     def test_engine_matches_hand_built_shards(self, stream):
         """The whole ingest path (buffering, times, flush) reproduces a

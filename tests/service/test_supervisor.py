@@ -10,17 +10,20 @@ scheduled by deterministic op index — no sleeps, no retries, no flaky
 reruns.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.registry import get_descriptor
 from repro.service import (
     ChaosExecutor,
     DegradedAnswer,
     EngineConfig,
+    MemoryLog,
     ProcessExecutor,
-    ReplayBuffer,
     RetryPolicy,
     SerialExecutor,
     ShardError,
@@ -28,7 +31,9 @@ from repro.service import (
     StreamEngine,
     Supervisor,
     save_checkpoint,
+    shard_ids,
 )
+from repro.service.engine import _ShardBuffer
 
 
 @pytest.fixture
@@ -63,29 +68,31 @@ class TestRetryPolicy:
         assert [p.backoff_s(a) for a in range(4)] == [0.1, 0.2, 0.4, 0.5]
 
 
-class TestReplayBuffer:
-    def batch(self, shard, n):
-        return (shard, np.arange(n, dtype=np.uint64),
-                np.arange(n, dtype=np.int64), None)
-
-    def test_records_and_filters_by_shard(self):
-        buf = ReplayBuffer(limit_items=100)
-        buf.record([self.batch(0, 5), self.batch(1, 7), self.batch(0, 3)])
-        assert buf.items == 15 and len(buf) == 3
-        mine = buf.batches_for({0})
-        assert [b[0] for b in mine] == [0, 0]
-        assert [b[1].size for b in mine] == [5, 3]
+class TestMemoryLog:
+    def test_records_in_order_and_owns_its_keys(self):
+        log = MemoryLog(limit_items=100)
+        keys = np.arange(7, dtype=np.uint64)
+        log.append(0, np.arange(5, dtype=np.uint64))
+        log.append(1, keys)
+        log.append(0, np.arange(3, dtype=np.uint64))
+        keys[:] = 99  # the caller reuses its array
+        assert log.items == 15 and len(log) == 3
+        records = list(log.records())
+        assert [side for side, _ in records] == [0, 1, 0]
+        assert [k.size for _, k in records] == [5, 7, 3]
+        assert np.array_equal(records[1][1], np.arange(7))
+        assert [k.size for _, k in log.records(2)] == [3]
 
     def test_overflow_drops_the_log_until_reset(self):
-        buf = ReplayBuffer(limit_items=10)
-        buf.record([self.batch(0, 11)])
-        assert buf.overflowed and len(buf) == 0 and buf.items == 0
-        buf.record([self.batch(0, 1)])  # ignored: already unrecoverable
-        assert len(buf) == 0
-        buf.reset()
-        assert not buf.overflowed
-        buf.record([self.batch(0, 1)])
-        assert len(buf) == 1
+        log = MemoryLog(limit_items=10)
+        log.append(0, np.arange(11, dtype=np.uint64))
+        assert log.overflowed and len(log) == 0 and log.items == 0
+        log.append(0, np.arange(1, dtype=np.uint64))  # ignored: unrecoverable
+        assert len(log) == 0
+        log.reset()
+        assert not log.overflowed
+        log.append(0, np.arange(1, dtype=np.uint64))
+        assert len(log) == 1
 
 
 class TestSupervisedRecovery:
@@ -144,10 +151,10 @@ class TestSupervisedRecovery:
         sup = Supervisor(eng, tmp_path)
         try:
             eng.ingest(stream[:4000])
-            assert len(sup.replay) > 0
+            assert len(sup.log) > 0
             sup._restarts[0] = 2
             save_checkpoint(eng, tmp_path)
-            assert len(sup.replay) == 0 and sup.replay.items == 0
+            assert len(sup.log) == 0 and sup.log.items == 0
             assert sup.restarts(0) == 0
             assert sup.snapshot()["base_checkpoint"].startswith(str(tmp_path))
         finally:
@@ -187,8 +194,8 @@ class TestSupervisedRecovery:
                          policy=RetryPolicy(backoff_base_s=0.0))
         try:
             with pytest.raises(ShardError):
-                chunked_ingest(eng, stream)  # buffer overflowed before the kill
-            assert sup.replay.overflowed
+                chunked_ingest(eng, stream)  # log overflowed before the kill
+            assert sup.log.overflowed
             assert eng.down_shards != ()
         finally:
             eng.close()
@@ -281,5 +288,118 @@ class TestDegradedQueries:
             assert elapsed < 1.0, f"query blocked {elapsed:.2f}s past deadline"
             assert res.degraded and len(res.missing_shards) == 1
             assert eng.stats.rpc_timeouts >= 1
+        finally:
+            eng.close()
+
+
+def same_state(desc, a, b) -> bool:
+    meta_a, arrays_a = desc.sketch_state(a)
+    meta_b, arrays_b = desc.sketch_state(b)
+    return (
+        meta_a == meta_b
+        and arrays_a.keys() == arrays_b.keys()
+        and all(np.array_equal(arrays_a[k], arrays_b[k]) for k in arrays_a)
+    )
+
+
+class TestRecoveryUnderShedding:
+    """Every shard down under ``shed_oldest``, then an operator brings
+    them back: the rebuilt shards hold exactly the arrivals that were
+    admitted and not evicted, whichever log the replay reads."""
+
+    def run(self, root, stream, source, monkeypatch):
+        # remember the union times of every evicted item: the oracle
+        evicted = []
+        real_shed = _ShardBuffer.shed_oldest
+
+        def spy(buf, n):
+            times = np.concatenate(buf.times)
+            dropped = real_shed(buf, n)
+            evicted.append(times[:dropped])
+            return dropped
+
+        monkeypatch.setattr(_ShardBuffer, "shed_oldest", spy)
+        config = cfg(
+            "cm", overload_policy="shed_oldest", down_retention_items=100,
+            wal_dir=str(root / "wal") if source == "wal" else None,
+        )
+        eng = StreamEngine(config, executor=lambda shards: ChaosExecutor(
+            SerialExecutor(shards), kill_worker_after_ops=15))
+        # the WAL source ignores the in-memory bound
+        sup = Supervisor(
+            eng, root / "ckpt", policy=RetryPolicy(max_restarts=0),
+            **({"replay_limit_items": 100} if source == "wal" else {}),
+        )
+        for lo in range(0, stream.size, 500):
+            try:
+                eng.ingest(stream[lo:lo + 500])
+            except ShardError:
+                pass  # the kill surfaces once; every shard goes down
+        assert eng.down_shards == (0, 1, 2, 3)
+        sup.policy = RetryPolicy(max_restarts=2, backoff_base_s=0.0)
+        sup.reset_breaker()
+        assert sup.recover_down()
+        eng.flush()
+        snap = eng.stats_snapshot(tick=False)
+        shards = eng.snapshots()
+        eng.close()
+        return config, shards, snap, np.concatenate(evicted)
+
+    @pytest.mark.parametrize("source", ["memory", "wal"])
+    def test_rebuilt_shards_skip_evicted_items(
+            self, tmp_path, stream, source, monkeypatch):
+        config, shards, snap, evicted = self.run(
+            tmp_path, stream, source, monkeypatch)
+        assert snap["items_shed"] == evicted.size > 0
+        assert snap["items_ingested"] == (
+            snap["items_flushed"] + snap["items_buffered"]
+            + snap["items_shed"] + snap["items_retained_down"]
+        )
+        # oracle: each shard built directly from its admitted substream
+        # minus the evicted items, at the same clock
+        desc = get_descriptor("cm")
+        times = np.arange(stream.size, dtype=np.int64)
+        live = ~np.isin(times, evicted)
+        owner = shard_ids(stream, config.num_shards, config.shard_seed)
+        for s, got in enumerate(shards):
+            want = desc.build(config.window, config.size,
+                              **config.sketch_kwargs)
+            mine = live & (owner == s)
+            want.insert_at(stream[mine], times[mine])
+            want.advance_to(stream.size)
+            assert same_state(desc, got, want), f"shard {s}"
+
+    def test_memory_and_wal_sources_rebuild_identical_shards(
+            self, tmp_path, stream, monkeypatch):
+        _c, mem, _s, _e = self.run(tmp_path / "m", stream, "memory",
+                                   monkeypatch)
+        _c, wal, _s, _e = self.run(tmp_path / "w", stream, "wal",
+                                   monkeypatch)
+        desc = get_descriptor("cm")
+        assert all(same_state(desc, a, b) for a, b in zip(mem, wal))
+
+
+class TestUnreadableBase:
+    @pytest.mark.parametrize("damage", ["garbage", "edited-clock"])
+    def test_damaged_base_manifest_is_unrecoverable(
+            self, tmp_path, stream, damage):
+        eng = StreamEngine(cfg("cm"), executor=lambda shards: ChaosExecutor(
+            SerialExecutor(shards), kill_worker_after_ops=15))
+        sup = Supervisor(eng, tmp_path, policy=RetryPolicy(backoff_base_s=0.0))
+        base = Path(sup.snapshot()["base_checkpoint"])
+        manifest = base / "MANIFEST.json"
+        if damage == "garbage":
+            manifest.write_text("{not json")
+        else:  # still parses: only the self-checksum can tell
+            meta = json.loads(manifest.read_text())
+            meta["clock"] = [meta["clock"][0] + 1]
+            manifest.write_text(json.dumps(meta))
+        try:
+            with pytest.raises(ShardError):
+                chunked_ingest(eng, stream)
+            assert eng.down_shards == (0, 1, 2, 3)
+            assert eng.stats.worker_restarts == 0
+            reason = sup.snapshot()["last_error"]
+            assert str(base) in reason and "unreadable" in reason
         finally:
             eng.close()

@@ -17,6 +17,13 @@ queries clean through the frames' own ``prepare_query_all``, and the
 registry restores them; so no module under ``src/`` calls the removed
 cleaning verbs or a private apply kernel, and only ``core/batch.py`` and
 ``core/registry.py`` branch on the frame classes.
+
+A third rule keeps replay on one path.  Worker restarts and crash
+recovery both replay the engine's suffix log through
+``StreamEngine._replay``, which stamps and partitions exactly as
+``ingest`` does; so ``shard_ids`` and ``partition`` are called only in
+``service/sharding.py`` and ``service/engine.py``, and none of the names
+of the replay paths this replaced is left under ``src/``.
 """
 
 import ast
@@ -46,6 +53,25 @@ REMOVED_VERBS = {
     "check_groups",
     "check_all_groups",
     "_insert_chunk",
+}
+
+
+#: the modules allowed to call the partitioning functions
+PARTITION_ALLOWED = {
+    SRC / "repro" / "service" / "sharding.py",
+    SRC / "repro" / "service" / "engine.py",
+}
+
+PARTITION_CALLS = {"shard_ids", "partition"}
+
+#: the replay paths ``StreamEngine._replay`` replaced: the supervisor's
+#: pre-stamped batch buffer and its hook, its hand copy of the stamping
+#: math, and the ingest bypass flag of the old WAL replay
+REMOVED_REPLAY_NAMES = {
+    "ReplayBuffer",
+    "record_sent",
+    "_replay_worker_from_wal",
+    "_wal_replaying",
 }
 
 
@@ -156,3 +182,78 @@ def test_frame_write_lint_detects_violations(tmp_path):
     assert any("_insert_chunk" in f for f in found)
     assert sum("isinstance" in f for f in found) == 2
     assert len(_frame_write_violations(bad, allow_frame_dispatch=True)) == 2
+
+
+def _identifiers(node: ast.AST):
+    """Names a node binds or mentions (string constants only whole)."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, ast.alias):
+        yield node.name
+        if node.asname:
+            yield node.asname
+    elif isinstance(node, ast.arg):
+        yield node.arg
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield node.value  # getattr(x, "record_sent") style lookups
+
+
+def _replay_violations(path: Path, allow_partition: bool) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    # partition functions imported under another name count as well
+    callers = set(PARTITION_CALLS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            callers.update(
+                a.asname for a in node.names
+                if a.name in PARTITION_CALLS and a.asname
+            )
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and not allow_partition:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in callers:
+                found.append(f"{path}:{node.lineno}: call to {name}")
+        for name in _identifiers(node):
+            if name in REMOVED_REPLAY_NAMES:
+                line = getattr(node, "lineno", "?")
+                found.append(f"{path}:{line}: removed replay name {name}")
+    return found
+
+
+def test_replay_has_one_path():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        offenders.extend(_replay_violations(path, path in PARTITION_ALLOWED))
+    assert not offenders, (
+        "replay goes through StreamEngine._replay, and only sharding.py "
+        "and engine.py partition keys:\n" + "\n".join(offenders)
+    )
+
+
+def test_replay_lint_detects_violations(tmp_path):
+    """The rule is live: stray partitioning and old replay names are caught."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from repro.service.sharding import shard_ids as _sids\n"
+        "class ReplayBuffer:\n"
+        "    def replay(self, engine, keys, times):\n"
+        "        owners = _sids(keys, 4)\n"
+        "        engine._wal_replaying = True\n"
+        "        getattr(engine._supervisor, 'record_sent')\n"
+        "        return sharding.partition(keys, times, owners, 4)\n"
+        "    # record_sent(...) in a comment is fine\n"
+        "    s = 'a ReplayBuffer in a string is fine'\n"
+    )
+    found = _replay_violations(bad, allow_partition=False)
+    assert len(found) == 5
+    assert sum("call to" in f for f in found) == 2
+    assert any("ReplayBuffer" in f for f in found)
+    assert any("_wal_replaying" in f for f in found)
+    assert any("record_sent" in f for f in found)
+    assert len(_replay_violations(bad, allow_partition=True)) == 3
