@@ -31,11 +31,10 @@ Durability modes:
   failing when logging overhead blows its bound.  Results merge into
   ``BENCH_service.json`` under ``wal_overhead``.
 
-The process-executor rows ship flush batches over the default pickle
-transport.  There is no transport gate: both transports apply through
-the same kernel, and the opt-in shared-memory ring measures within
-noise of pickle.  The process path is guarded end to end by the
-``hll-wal-proc`` workload of the repo benchmark (``benchmarks/ledger``).
+The process-executor rows ship flush batches pickled through the
+worker pipes, the executor's only transport.  The process path is
+guarded end to end by the ``hll-wal-proc`` workload of the repo
+benchmark (``benchmarks/ledger``).
 """
 
 import json

@@ -284,16 +284,12 @@ class ExemplarReservoir:
 
 # -- stage-level latency attribution ------------------------------------------
 
-#: the engine hot path, in pipeline order (``shm_acquire`` /
-#: ``shm_release`` only fire for batches the process executor's
-#: shared-memory ring carries)
+#: the engine hot path, in pipeline order
 ENGINE_STAGES = (
     "admit",
     "wal_append",
     "stamp",
-    "shm_acquire",
     "flush_rpc",
-    "shm_release",
     "apply",
     "query_fanin",
 )

@@ -52,7 +52,6 @@ distributed sliding-window monitors:
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -73,7 +72,7 @@ from repro.service.errors import (
     ShardTimeoutError,
     ShardUnrecoverableError,
 )
-from repro.service.executor import TRANSPORTS, ProcessExecutor, SerialExecutor
+from repro.service.executor import ProcessExecutor, SerialExecutor
 from repro.service.sharding import DEFAULT_SHARD_SEED, partition, shard_ids, shard_of
 from repro.service.stats import EngineStats, format_stats
 from repro.service.wal import WAL_FSYNC_POLICIES, WriteAheadLog
@@ -88,6 +87,11 @@ __all__ = [
 
 #: admission-control responses when a buffer budget would be breached
 OVERLOAD_POLICIES = ("raise", "shed_oldest", "shed_newest", "block")
+
+#: config keys older checkpoint manifests carry but the engine no
+#: longer reads (``transport`` chose the removed shared-memory flush
+#: ring); :meth:`EngineConfig.from_json` drops them
+RETIRED_CONFIG_KEYS = frozenset({"transport"})
 
 #: replay coalesces consecutive same-side log records into batches of
 #: about this many items, so a log of small appends still replays
@@ -190,15 +194,6 @@ class EngineConfig:
             cache only).  See docs/service.md "Durability model".
         wal_fsync_interval_s: max fsync staleness for ``"interval"``.
         wal_segment_bytes: WAL segment rotation size.
-        transport: how the process executor ships flush batches to its
-            workers — ``"pickle"`` sends arrays through the pipes,
-            ``"shm"`` copies each batch once into a fixed-slot
-            shared-memory ring and sends only slot descriptors (pickle
-            stays its per-batch fallback).  Both apply through the same
-            kernel, so results are bit-identical; the serial executor
-            only validates the value.  The default reads
-            ``REPRO_TRANSPORT`` from the environment (falling back to
-            ``"pickle"``), so CI can run whole suites under either.
         sketch_kwargs: forwarded to the sketch constructor (``seed``,
             ``alpha``, ``num_hashes``, ``frame``, ...).
     """
@@ -220,9 +215,6 @@ class EngineConfig:
     wal_fsync: str = "always"
     wal_fsync_interval_s: float = 1.0
     wal_segment_bytes: int = 64 * 1024 * 1024
-    transport: str = field(default_factory=lambda: os.environ.get(
-        "REPRO_TRANSPORT", "pickle"
-    ))
     sketch_kwargs: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -269,11 +261,6 @@ class EngineConfig:
                 f"got {self.wal_fsync_interval_s}"
             )
         require_positive_int("wal_segment_bytes", self.wal_segment_bytes)
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
 
     @property
     def bounded(self) -> bool:
@@ -297,8 +284,11 @@ class EngineConfig:
 
         Unknown keys raise a :class:`ValueError` naming them — a config
         from a newer version (or a typo) should fail loudly, not as an
-        opaque ``TypeError`` from the dataclass constructor.
+        opaque ``TypeError`` from the dataclass constructor.  Retired
+        keys (:data:`RETIRED_CONFIG_KEYS`) that older manifests still
+        carry are dropped whatever their value.
         """
+        data = {k: v for k, v in data.items() if k not in RETIRED_CONFIG_KEYS}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -485,14 +475,12 @@ class StreamEngine:
                 f"got {len(shards)} shards for num_shards={config.num_shards}"
             )
         if executor == "serial":
-            self._exec = SerialExecutor(shards, transport=config.transport)
+            self._exec = SerialExecutor(shards)
         elif executor == "process":
             self._exec = ProcessExecutor(
                 shards,
                 num_workers=num_workers,
                 timeout_s=config.rpc_timeout_s,
-                transport=config.transport,
-                ring_slot_items=max(4 * config.flush_batch_size, 32768),
             )
         elif callable(executor):
             self._exec = executor(shards)
@@ -1055,6 +1043,15 @@ class StreamEngine:
             }
         return set(range(self.config.num_shards))
 
+    def _workers_of_error(self, err: ShardError) -> set[int]:
+        """Which workers an executor error implicates (worst case: all);
+        the set a supervisor rebuilds."""
+        return (
+            set(err.worker_ids)
+            or {self._exec.worker_of(s) for s in err.shard_ids}
+            or set(range(self._exec.num_workers))
+        )
+
     def _handle_executor_failure(self, err: ShardError, *, strict: bool) -> bool:
         """Common response to a failed executor op (advance/snapshot).
 
@@ -1231,7 +1228,22 @@ class StreamEngine:
                     self._advance_shard(s)
                 except ShardError as err:
                     if self._handle_executor_failure(err, strict=strict):
-                        self._advance_shard(s)  # recovered: catch up once
+                        self._advance_recovered(err)
+
+    def _advance_recovered(self, err: ShardError) -> None:
+        """Catch the rebuilt workers' shards up to the global clock once.
+
+        A rebuilt worker's shards all come back at their replayed clock,
+        including those already advanced before the failure, so every
+        live shard of the workers the supervisor rebuilt is advanced
+        again, not only the shard whose op failed.
+        """
+        rebuilt = {
+            s for w in self._workers_of_error(err)
+            for s in self._exec.shards_of(w)
+        }
+        for s in sorted(rebuilt - self._down):
+            self._advance_shard(s)
 
     def _advance_shard(self, s: int) -> None:
         if self._two_stream:
@@ -1259,7 +1271,7 @@ class StreamEngine:
             except ShardError as err:
                 if self._handle_executor_failure(err, strict=False):
                     try:  # recovered mid-query: one retry
-                        self._advance_shard(s)
+                        self._advance_recovered(err)
                         snap = self._exec.snapshot(s)
                     except ShardError:
                         pass

@@ -10,10 +10,9 @@ batches to it.  Two implementations share one protocol
 * :class:`SerialExecutor` keeps the sketches in-process — zero overhead
   per flush, the right default for one CPU.
 * :class:`ProcessExecutor` forks long-lived workers, each owning a
-  fixed subset of shards; batches ship over pipes (or, opt-in, through
-  a shared-memory ring) and apply in parallel.  Shard ownership never
-  migrates, so no sketch state is ever shared — the classic
-  shared-nothing layout of sharded stores.
+  fixed subset of shards; batches ship pickled over pipes and apply in
+  parallel.  Shard ownership never migrates, so no sketch state is
+  ever shared — the classic shared-nothing layout of sharded stores.
 
 Both are deterministic: the same sequence of flushes produces
 bit-identical shard state, which the equivalence tests assert.
@@ -57,34 +56,10 @@ from repro.service.errors import (
     ShardFailedError,
     ShardTimeoutError,
 )
-from repro.service.shm import ITEM_BYTES, SlotRing, shm_available
 
 __all__ = ["SerialExecutor", "ProcessExecutor", "DEFAULT_RPC_TIMEOUT_S"]
 
 DEFAULT_RPC_TIMEOUT_S = 30.0
-
-#: flush transports: ``"pickle"`` ships arrays through the pipe (the
-#: default), ``"shm"`` ships slot descriptors into a shared-memory ring
-TRANSPORTS = ("pickle", "shm")
-
-#: default ring geometry: slots sized for a few engine flush batches
-DEFAULT_RING_SLOT_ITEMS = 32768
-
-#: cap on one ring's segment size.  Writing into a tmpfs page that
-#: ``/dev/shm`` cannot back kills the parent with SIGBUS (no fallback
-#: is possible then), so the ring stays well inside a small container
-#: ``/dev/shm`` (Docker's default is 64 MiB); batches larger than the
-#: capped slots take the per-batch pickle fallback instead.
-MAX_RING_BYTES = 16 * 1024 * 1024
-
-
-def _check_transport(transport: str) -> str:
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"transport must be one of {TRANSPORTS}, got {transport!r}"
-        )
-    return transport
-
 
 _UNSET = object()
 
@@ -120,11 +95,8 @@ class SerialExecutor:
     fault-injection wrappers treat both uniformly.
     """
 
-    def __init__(self, shards, *, obs=None, transport: str = "pickle"):
+    def __init__(self, shards, *, obs=None):
         self._shards = list(shards)
-        # nothing crosses a process boundary, so both transports apply
-        # inline through the same kernel; the value is only validated
-        self.transport = _check_transport(transport)
         self.set_obs(obs)
 
     def set_obs(self, obs) -> None:
@@ -237,38 +209,20 @@ class SerialExecutor:
 # -- multiprocessing ---------------------------------------------------------
 
 
-def _worker_main(conn, shards: dict, ring_spec: tuple | None = None) -> None:
+def _worker_main(conn, shards: dict) -> None:
     """Worker loop: apply commands to the shards this process owns.
 
-    ``ring_spec`` — ``(name, slot_items, num_slots)`` of the parent's
-    shared-memory ring under ``transport="shm"``, else ``None``; the
-    worker attaches read-only and serves ``flush_shm`` descriptors from
-    zero-copy views.  Plain ``flush`` messages carry pickled arrays:
-    the pickle transport, and the shm ring's fallback for batches the
-    ring cannot take.
+    A ``flush`` message carries its batch as pickled arrays.
     """
-    ring = None
-    if ring_spec is not None:
-        name, slot_items, num_slots = ring_spec
-        ring = SlotRing(slot_items, num_slots, name=name)
     try:
         while True:
             cmd, *args = conn.recv()
             try:
-                if cmd in ("flush", "flush_shm"):
-                    if cmd == "flush":
-                        sid, keys, times, side, trace = args
-                    else:
-                        sid, slot, n, side, trace = args
-                        keys = ring.keys_view(slot, n)
-                        times = ring.times_view(slot, n)
+                if cmd == "flush":
+                    sid, keys, times, side, trace = args
                     t0 = time.perf_counter()
                     _apply_flush(shards[sid], keys, times, side)
                     dur_ms = (time.perf_counter() - t0) * 1e3
-                    items = int(keys.size)
-                    # drop slot views so they never pin the ring's
-                    # mapping past this batch
-                    keys = times = None
                     if trace is None:
                         conn.send(("ok", None))
                     else:
@@ -279,7 +233,7 @@ def _worker_main(conn, shards: dict, ring_spec: tuple | None = None) -> None:
                             "ok",
                             span_record(
                                 "worker.apply", trace[0], trace[1],
-                                t0, dur_ms, shard=sid, items=items,
+                                t0, dur_ms, shard=sid, items=int(keys.size),
                             ),
                         ))
                 elif cmd == "advance":
@@ -308,9 +262,6 @@ def _worker_main(conn, shards: dict, ring_spec: tuple | None = None) -> None:
                 conn.send(("err", traceback.format_exc()))
     except (EOFError, KeyboardInterrupt):  # parent died / interrupted
         pass
-    finally:
-        if ring is not None:
-            ring.close()
 
 
 class ProcessExecutor:
@@ -329,17 +280,6 @@ class ProcessExecutor:
             pre-fault-tolerance behaviour).  Enforced with
             ``conn.poll``, so a wedged worker costs at most one
             deadline, never a hang.
-        transport: ``"pickle"`` (the default) ships arrays through the
-            pipes; ``"shm"`` copies each batch once into a
-            shared-memory :class:`SlotRing` and ships only the slot
-            descriptor, the pipes staying the control plane.  Under
-            ``"shm"`` a batch that outgrows a slot, or finds the ring
-            exhausted, ships pickled instead; so does every batch when
-            the ring cannot be created.  Results are bit-identical.
-        ring_slot_items: requested slot capacity (items) of the shm
-            ring; size it at or above the engine's flush batch size.
-            Capped so the whole ring stays within
-            :data:`MAX_RING_BYTES`.
     """
 
     def __init__(
@@ -348,8 +288,6 @@ class ProcessExecutor:
         *,
         num_workers: int | None = None,
         timeout_s: float | None = DEFAULT_RPC_TIMEOUT_S,
-        transport: str = "pickle",
-        ring_slot_items: int = DEFAULT_RING_SLOT_ITEMS,
     ):
         shards = list(shards)
         if not shards:
@@ -359,23 +297,6 @@ class ProcessExecutor:
         self._num_shards = len(shards)
         self.num_workers = min(num_workers or len(shards), len(shards))
         self.timeout_s = timeout_s
-        self.transport = _check_transport(transport)
-        self._ring: SlotRing | None = None
-        if self.transport == "shm":
-            # enough slots for a full flush round (one per shard and
-            # side) plus headroom for supervisor replay traffic
-            num_slots = max(2 * self._num_shards + 2, 8)
-            slot_items = max(1, min(
-                int(ring_slot_items),
-                MAX_RING_BYTES // (ITEM_BYTES * num_slots),
-            ))
-            if shm_available():
-                try:
-                    self._ring = SlotRing(slot_items, num_slots)
-                except OSError:  # no usable /dev/shm: ship pickled
-                    pass
-            if self._ring is None:
-                self.transport = "pickle"
         self._conns: list = [None] * self.num_workers
         self._procs: list = [None] * self.num_workers
         # workers whose pipe can no longer be trusted (a missed deadline
@@ -395,22 +316,6 @@ class ProcessExecutor:
             labels=("op", "worker"),
             buckets=_RPC_BUCKETS,
         )
-        self._g_ring_in_use = self.obs.registry.gauge(
-            "engine_shm_ring_slots_in_use",
-            "Shared-memory ring slots currently handed to workers",
-        )
-        self._g_ring_total = self.obs.registry.gauge(
-            "engine_shm_ring_slots_total",
-            "Shared-memory ring capacity in slots",
-        )
-        self._c_shm_fallback = self.obs.registry.counter(
-            "executor_shm_fallback_total",
-            "Flush batches that fell back to the pickle path "
-            "(oversized batch or exhausted ring)",
-        )
-        if self._ring is not None:
-            self._g_ring_total.set(self._ring.num_slots)
-            self._g_ring_in_use.set(self._ring.in_use())
 
     # -- topology ------------------------------------------------------------
 
@@ -435,13 +340,8 @@ class ProcessExecutor:
 
     def _spawn(self, worker_id: int, owned: dict) -> None:
         parent_conn, child_conn = self._ctx.Pipe()
-        ring_spec = None
-        if self._ring is not None:
-            ring_spec = (
-                self._ring.name, self._ring.slot_items, self._ring.num_slots
-            )
         proc = self._ctx.Process(
-            target=_worker_main, args=(child_conn, owned, ring_spec), daemon=True
+            target=_worker_main, args=(child_conn, owned), daemon=True
         )
         proc.start()
         child_conn.close()
@@ -568,43 +468,6 @@ class ProcessExecutor:
 
     # -- protocol verbs ------------------------------------------------------
 
-    def _make_flush(self, shard_id, keys, times, side, trace):
-        """Build one flush message: a slot descriptor when the shm ring
-        can carry the batch, else the pickled-array message.
-
-        Returns ``(message, slot)``; the caller owns releasing a
-        non-``None`` slot once the batch is acknowledged or failed.
-        """
-        if self._ring is not None:
-            n = int(keys.size)
-            if n <= self._ring.slot_items:
-                slot = self._ring.acquire()
-                if slot is not None:
-                    started = time.perf_counter()
-                    self._ring.write(slot, keys, times)
-                    self._g_ring_in_use.set(self._ring.in_use())
-                    self.obs.stages.observe(
-                        "shm_acquire",
-                        time.perf_counter() - started,
-                        trace[0] if trace is not None else None,
-                    )
-                    return ("flush_shm", shard_id, slot, n, side, trace), slot
-            # oversized batch or exhausted ring: pickle still works
-            self._c_shm_fallback.inc()
-        return ("flush", shard_id, keys, times, side, trace), None
-
-    def _release_slot(self, slot, trace=None) -> None:
-        if slot is None:
-            return
-        started = time.perf_counter()
-        self._ring.release(slot)
-        self._g_ring_in_use.set(self._ring.in_use())
-        self.obs.stages.observe(
-            "shm_release",
-            time.perf_counter() - started,
-            trace[0] if trace is not None else None,
-        )
-
     def flush(
         self,
         shard_id: int,
@@ -613,12 +476,9 @@ class ProcessExecutor:
         side: int | None = None,
         trace: tuple[str, str] | None = None,
     ) -> None:
-        keys = np.asarray(keys)
-        message, slot = self._make_flush(shard_id, keys, times, side, trace)
-        try:
-            payload = self._call(shard_id, *message)
-        finally:
-            self._release_slot(slot, trace)
+        payload = self._call(
+            shard_id, "flush", shard_id, np.asarray(keys), times, side, trace
+        )
         if payload is not None:
             self.obs.tracer.ingest((payload,))
             self._observe_apply(payload)
@@ -655,31 +515,27 @@ class ProcessExecutor:
         dead_workers: set[int] = set()
         errors: list[ShardFailedError | ShardDeadError | ShardTimeoutError] = []
         failed_shards: list[int] = []
-        # (worker_id, shard_id, slot) in send order
-        pending: list[tuple[int, int, int | None]] = []
+        # (worker_id, shard_id) in send order
+        pending: list[tuple[int, int]] = []
         for shard_id, keys, times, side in batches:
             w = self.worker_of(shard_id)
             if w in dead_workers:
                 failed_shards.append(shard_id)
                 continue
-            message, slot = self._make_flush(
-                shard_id, np.asarray(keys), times, side, trace
-            )
+            message = ("flush", shard_id, np.asarray(keys), times, side, trace)
             try:
                 self._send(w, message, shard_ids=(shard_id,))
             except ShardDeadError as exc:
-                self._release_slot(slot, trace)
                 dead_workers.add(w)
                 errors.append(exc)
                 failed_shards.append(shard_id)
                 continue
-            pending.append((w, shard_id, slot))
+            pending.append((w, shard_id))
         # ack phase: one recv per surviving send, FIFO per worker
-        for w, shard_id, slot in pending:
+        for w, shard_id in pending:
             if w in dead_workers:
-                # the worker will never read this descriptor: its batch
-                # counts as unapplied and the parent reclaims the slot
-                self._release_slot(slot, trace)
+                # the worker's pipe is no longer trusted: its batch
+                # counts as unapplied
                 failed_shards.append(shard_id)
                 continue
             try:
@@ -695,8 +551,6 @@ class ProcessExecutor:
                 # worker is alive and in protocol sync; only this batch failed
                 errors.append(exc)
                 failed_shards.append(shard_id)
-            finally:
-                self._release_slot(slot, trace)
         if errors:
             first = errors[0]
             raise type(first)(
@@ -792,8 +646,6 @@ class ProcessExecutor:
                 pass
         for w in range(self.num_workers):
             self._reap(w)
-        if self._ring is not None:
-            self._ring.close()
 
     def __enter__(self):
         return self

@@ -163,14 +163,8 @@ class Supervisor:
         """
         if isinstance(err, ShardFailedError):
             return False
-        executor = self.engine._exec
-        workers = set(err.worker_ids)
-        if not workers:
-            workers = {executor.worker_of(s) for s in err.shard_ids}
-        if not workers:  # unattributed: assume the worst
-            workers = set(range(executor.num_workers))
         ok = True
-        for w in sorted(workers):
+        for w in sorted(self.engine._workers_of_error(err)):
             ok &= self.recover_worker(w)
         return ok
 

@@ -1,8 +1,7 @@
 """Acceptance: one scrape shows windowed stage quantiles + exemplars.
 
-A process-executor engine with WAL durability on the shared-memory
-transport is driven through every hot-path stage (admit -> wal_append
--> stamp -> shm_acquire -> flush_rpc -> shm_release -> apply ->
+A process-executor engine with WAL durability is driven through every
+hot-path stage (admit -> wal_append -> stamp -> flush_rpc -> apply ->
 query_fanin); a single ``/metrics`` + ``/statusz`` scrape must then
 expose windowed p50/p95/p99 latency per stage and exemplar trace-ids
 an operator can feed straight into the trace ring.
@@ -38,7 +37,6 @@ class TestStageScrape:
         cfg = EngineConfig("cm", window=8192, size=2048, num_shards=2,
                            wal_dir=str(tmp_path / "wal"),
                            flush_batch_size=100_000, flush_interval_s=None,
-                           transport="shm",
                            sketch_kwargs={"seed": 2})
         with StreamEngine(cfg, executor="process", obs=True) as eng, \
                 MetricsExporter(eng) as exp:

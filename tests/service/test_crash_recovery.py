@@ -40,6 +40,7 @@ from repro.service import (
     save_checkpoint,
     simulate_process_kill,
 )
+from repro.service.wal import checksum
 
 KINDS = {
     "cm": dict(window=2048, size=1024, num_shards=3,
@@ -170,6 +171,42 @@ class TestKillAnywhereBitIdentical:
             assert rec.now() == sum(
                 op[1].size for op in ops if op[0] == "ingest"
             )
+        finally:
+            rec.close()
+
+
+class TestOldManifestsRecover:
+    """Manifests written while the engine still had a flush-transport
+    setting carry ``"transport"`` in their stored config; they recover
+    exactly as before, whatever transport they named."""
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_manifest_with_transport_key_recovers_bit_identical(
+            self, tmp_path, transport):
+        ops = script("cm")
+        want, clock = reference_state("cm", tmp_path, ops)
+        root = tmp_path / "crash"
+        root.mkdir()
+        eng = build_engine("cm", root)
+        harness = CrashHarness(eng)
+        run_ops(harness, ops, root / "ckpt")
+        with pytest.raises(SimulatedCrash):
+            harness.kill()
+        # rewrite the newest manifest as an older version wrote it,
+        # re-sealing its self-checksum the way save_checkpoint does
+        manifest = latest_checkpoint(root / "ckpt") / "MANIFEST.json"
+        meta = json.loads(manifest.read_text())
+        assert "transport" not in meta["config"]
+        meta.pop("manifest_crc")
+        meta["config"]["transport"] = transport
+        crc, variant = checksum(json.dumps(meta, sort_keys=True).encode())
+        meta["manifest_crc"] = {"crc": crc, "variant": variant}
+        manifest.write_text(json.dumps(meta, indent=2))
+        rec = recover_engine(root / "ckpt")
+        try:
+            assert rec.now() == clock
+            assert rec.wal_status()["replayed_items"] > 0
+            assert_same_state(state_of(rec), want)
         finally:
             rec.close()
 

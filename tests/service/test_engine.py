@@ -390,6 +390,16 @@ class TestEngineConfigJson:
         with pytest.raises(ValueError, match="shard_count"):
             EngineConfig.from_json(data)
 
+    @pytest.mark.parametrize("value", ["pickle", "shm", "anything"])
+    def test_retired_transport_key_is_dropped(self, value):
+        """Older manifests carry the removed flush-transport field."""
+        cfg = EngineConfig("bm", window=256, size=512)
+        data = dict(cfg.to_json(), transport=value)
+        assert EngineConfig.from_json(data) == cfg
+        data["shard_count"] = 4  # other unknown keys still fail by name
+        with pytest.raises(ValueError, match="shard_count"):
+            EngineConfig.from_json(data)
+
     def test_unknown_key_error_lists_known_keys(self):
         data = EngineConfig("bm", window=256, size=512).to_json()
         data["nope"] = 1

@@ -5,7 +5,8 @@ Point queries read cells through ``frame.read`` and the fan-in folds
 function of the ingested stream however queries interleave with
 ingest: a query leaves every shard exactly as it found it, and a serial
 engine (which queries its live shards) stays bit-identical to a process
-engine (which queries copies shipped back from its workers).
+engine (which queries copies shipped back from its workers).  The
+two-stream kind (SHE-MH) takes each round on both sides.
 """
 
 import json
@@ -21,7 +22,18 @@ QUERIES = {
     "bf": lambda eng, probes: eng.contains_many(probes),
     "hll": lambda eng, probes: eng.cardinality(),
     "bm": lambda eng, probes: eng.cardinality(),
+    "mh": lambda eng, probes: eng.similarity(),
 }
+
+
+def ingest(engine, keys):
+    """One round of arrivals; a two-stream engine splits it over sides."""
+    if engine.config.descriptor().two_stream:
+        half = keys.size // 2
+        engine.ingest(keys[:half], side=0)
+        engine.ingest(keys[half:], side=1)
+    else:
+        engine.ingest(keys)
 
 
 def state_of(engine):
@@ -61,7 +73,7 @@ def test_queries_leave_shards_unchanged_and_serial_matches_process(kind, frame):
                                 dtype=np.uint64)
             probes = rng.integers(0, 1 << 20, size=64, dtype=np.uint64)
             for eng in (serial, process):
-                eng.ingest(keys)
+                ingest(eng, keys)
             before = state_of(serial)  # syncs: nothing left to drain
             got = QUERIES[kind](serial, probes)
             assert_same_state(state_of(serial), before)
@@ -72,7 +84,7 @@ def test_queries_leave_shards_unchanged_and_serial_matches_process(kind, frame):
                 gap = rng.integers(0, 1 << 40, size=8 * window, dtype=np.uint64)
                 gap = gap[shard_ids(gap, cfg.num_shards, cfg.shard_seed) == 0]
                 for eng in (serial, process):
-                    eng.ingest(gap)
+                    ingest(eng, gap)
         for eng in (serial, process):
             eng.flush()
         assert_same_state(state_of(serial), state_of(process))

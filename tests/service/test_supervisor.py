@@ -403,3 +403,35 @@ class TestUnreadableBase:
             assert str(base) in reason and "unreadable" in reason
         finally:
             eng.close()
+
+
+class TestRecoveryMidSync:
+    """A worker killed while ``_sync`` advances its shards comes back
+    with every shard at its replayed clock, including those the sync
+    had already advanced; all of them must be caught up again."""
+
+    @pytest.mark.parametrize("kill_at", [22, 23, 24])
+    def test_every_shard_reaches_the_engine_clock(
+            self, tmp_path, stream, kill_at):
+        config = cfg(
+            "cm", overload_policy="shed_oldest", down_retention_items=100
+        )
+        eng = StreamEngine(config, executor=lambda shards: ChaosExecutor(
+            SerialExecutor(shards), kill_worker_after_ops=kill_at))
+        sup = Supervisor(
+            eng, tmp_path,
+            policy=RetryPolicy(max_restarts=2, backoff_base_s=0.0),
+        )
+        try:
+            for lo in range(0, stream.size, 500):
+                eng.ingest(stream[lo:lo + 500])
+            eng.flush()
+            shards = eng.snapshots()
+            # the kill landed on an advance inside snapshots()' sync
+            assert eng._exec.kills and eng._exec.kills[0][0] == kill_at
+            assert eng.stats.worker_restarts == 1
+            assert eng.down_shards == ()
+            assert [s.t for s in shards] == [stream.size] * config.num_shards
+            assert sup.snapshot()["last_error"] is None
+        finally:
+            eng.close()

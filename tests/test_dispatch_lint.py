@@ -24,6 +24,12 @@ recovery both replay the engine's suffix log through
 ``ingest`` does; so ``shard_ids`` and ``partition`` are called only in
 ``service/sharding.py`` and ``service/engine.py``, and none of the names
 of the replay paths this replaced is left under ``src/``.
+
+A fourth rule keeps one flush transport.  The process executor pickles
+every batch through its worker pipe; the shared-memory ring it once
+offered as an alternative is gone, so no module under ``src/`` imports
+``repro.service.shm``, passes or accepts a ``transport`` argument, or
+names the ring or the knobs that selected it.
 """
 
 import ast
@@ -72,6 +78,18 @@ REMOVED_REPLAY_NAMES = {
     "record_sent",
     "_replay_worker_from_wal",
     "_wal_replaying",
+}
+
+#: the removed shared-memory flush ring, its worker verb and the
+#: constants, keywords and environment variable that selected it
+REMOVED_TRANSPORT_NAMES = {
+    "SlotRing",
+    "shm_available",
+    "flush_shm",
+    "ring_slot_items",
+    "MAX_RING_BYTES",
+    "TRANSPORTS",
+    "REPRO_TRANSPORT",
 }
 
 
@@ -198,6 +216,8 @@ def _identifiers(node: ast.AST):
             yield node.asname
     elif isinstance(node, ast.arg):
         yield node.arg
+    elif isinstance(node, ast.keyword) and node.arg is not None:
+        yield node.arg
     elif isinstance(node, ast.Constant) and isinstance(node.value, str):
         yield node.value  # getattr(x, "record_sent") style lookups
 
@@ -257,3 +277,62 @@ def test_replay_lint_detects_violations(tmp_path):
     assert any("_wal_replaying" in f for f in found)
     assert any("record_sent" in f for f in found)
     assert len(_replay_violations(bad, allow_partition=True)) == 3
+
+
+def _transport_violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [
+                f"{node.module}.{a.name}" for a in node.names
+            ]
+        elif isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        else:
+            modules = []
+        if any(m == "repro.service.shm" for m in modules):
+            found.append(f"{path}:{line}: import of repro.service.shm")
+        if isinstance(node, (ast.arg, ast.keyword)) and (
+            node.arg == "transport"
+        ):
+            found.append(f"{path}:{line}: transport argument")
+        for name in _identifiers(node):
+            if name in REMOVED_TRANSPORT_NAMES:
+                found.append(f"{path}:{line}: removed transport name {name}")
+    return found
+
+
+def test_flush_has_one_transport():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        offenders.extend(_transport_violations(path))
+    assert not offenders, (
+        "the process executor pickles every flush through its worker "
+        "pipe; the shared-memory ring and its knobs are gone:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_transport_lint_detects_violations(tmp_path):
+    """The rule is live: the ring's module, names and knobs are caught."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import os\n"
+        "from repro.service.shm import SlotRing\n"
+        "from repro.service import shm\n"
+        "def make(shards, transport='pickle'):\n"
+        "    mode = os.environ.get('REPRO_TRANSPORT', 'pickle')\n"
+        "    return ProcessExecutor(shards, ring_slot_items=64,\n"
+        "                           transport=mode)\n"
+        "# conn.send(('flush_shm', ...)) in a comment is fine\n"
+        "s = 'a SlotRing in a sentence is fine'\n"
+    )
+    found = _transport_violations(bad)
+    assert len(found) == 7
+    assert sum("import of repro.service.shm" in f for f in found) == 2
+    assert sum("transport argument" in f for f in found) == 2
+    assert any("SlotRing" in f for f in found)
+    assert any("REPRO_TRANSPORT" in f for f in found)
+    assert any("ring_slot_items" in f for f in found)
