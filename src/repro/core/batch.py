@@ -20,8 +20,15 @@ and the stored mark then becomes ``p_i``.  Hence after the batch:
   pre-batch stored mark;
 * the stored mark ends up equal to the last touch's parity.
 
-Note this preserves the documented failure mode: two flips with no
-touch in between leave the parity equal and no reset happens (Eq. 1).
+A group's mark flips at most once per ``Tcycle`` (§3.3), so a batch
+spanning less than one ``Tcycle`` flips each group at most once, and
+its suffix is simply the touches whose parity equals the group's last.
+``apply_columnar`` therefore cuts every hardware batch into consecutive
+pieces that each span less than ``Tcycle`` (:func:`_tcycle_pieces`)
+and applies them in order; by Algorithm 1 that equals applying the
+whole batch.  A gap longer than ``Tcycle`` falls between two pieces,
+which preserves the documented failure mode: two flips with no touch
+in between leave the parity equal and no reset happens (Eq. 1).
 
 Software frame (sweeping cleaner).  A write to cell ``j`` at time
 ``t_i`` survives to the end of the batch iff the sweeper does not cross
@@ -43,9 +50,6 @@ insert goes through:
 * the ADD_ONE scatter passes a dtype-matched operand so ``np.add.at``
   takes NumPy's fast indexed-loop path instead of the generic buffered
   one (~50x on uint32 cells);
-* ``last_flip`` uses in-order fancy assignment instead of
-  ``np.maximum.at`` — touches arrive in non-decreasing time order, so
-  the last write per group IS the max opposite-parity time;
 * group ids and mark parities use arithmetic shifts when the group
   width / ``Tcycle`` are powers of two (exact for int64 under floor
   semantics, including the negative phases offsets can produce).
@@ -102,6 +106,25 @@ def _min_suffixes(cells: np.ndarray, values: np.ndarray, start: np.ndarray) -> N
     np.minimum(cells, sm[start, np.arange(cells.size)], out=cells)
 
 
+def _tcycle_pieces(times: np.ndarray, t_cycle: int):
+    """Yield item ranges ``(lo, hi)`` cutting non-decreasing ``times``
+    into consecutive pieces that each span less than ``t_cycle``.
+
+    Greedy from each piece's first item, so no piece is empty and a gap
+    of many ``Tcycle``s costs one cut; a batch already that narrow is
+    one piece, found without a search.
+    """
+    n = times.size
+    if int(times[-1]) - int(times[0]) < t_cycle:
+        yield 0, n
+        return
+    lo = 0
+    while lo < n:
+        hi = int(np.searchsorted(times, times[lo] + t_cycle))
+        yield lo, hi
+        lo = hi
+
+
 # sentinel parity for groups no touch landed in; real parities are 0/1
 _UNTOUCHED = np.uint8(2)
 
@@ -113,6 +136,8 @@ def _apply_hardware(
     values: np.ndarray | None,
     kind: UpdateKind,
 ) -> None:
+    """One ``CheckGroup``-and-scatter pass over a batch that spans less
+    than ``Tcycle`` (a :func:`_tcycle_pieces` piece)."""
     gw_shift = _pow2_shift(frame.group_width)
     if gw_shift is not None:
         gids = np.right_shift(cell_idx, gw_shift)
@@ -151,12 +176,11 @@ def _apply_hardware(
         # No group flipped parity inside this batch: every touch
         # survives, and each group's first parity == its last.
         cleaned = touched & (frame.marks != last_parity)
-    elif int(times[-1]) - int(times[0]) < frame.t_cycle:
-        # The batch spans less than one Tcycle, so each group crosses
-        # at most one parity boundary: the opposite-parity touches are
-        # exactly each flipped group's prefix.  Survivors collapse to
-        # ``~opposite`` and the first parity is the last xored with
-        # the flip — no reverse scatter, no last-flip scan.
+    else:
+        # Each group crosses at most one parity boundary, so the
+        # opposite-parity touches are exactly each flipped group's
+        # prefix: survivors are ``~opposite`` and the first parity is
+        # the last xored with the flip.
         opp_pos = np.flatnonzero(opposite)
         flipped = np.zeros(g32, dtype=np.uint8)
         flipped[gids.take(opp_pos)] = 1
@@ -171,17 +195,6 @@ def _apply_hardware(
             undo_idx = cell_idx.take(opp_pos)
         else:
             surv_idx = np.flatnonzero(~opposite)
-    else:
-        # General path (batch at least one Tcycle wide): groups may
-        # flip several times, so scan for each group's last flip.
-        first_parity = np.empty(g32, dtype=np.uint8)
-        first_parity[gids[::-1]] = parity[::-1]
-        last_flip = np.full(g32, -1, dtype=np.int64)
-        # in-order fancy assignment: last opposite touch per group ==
-        # its max opposite time, because times are non-decreasing
-        last_flip[gids[opposite]] = times[opposite]
-        surv_idx = np.flatnonzero(times > last_flip[gids])
-        cleaned = touched & ((last_flip >= 0) | (frame.marks != first_parity))
 
     frame._reset_groups(cleaned)
     # equivalent to ``frame.marks[gids] = parity`` (last write per group
@@ -226,23 +239,20 @@ def _apply_software(
 def _apply_dense_hardware(
     frame: HardwareFrame, times: np.ndarray, values: np.ndarray
 ) -> None:
+    """Dense MIN_HASH pass over a batch that spans less than ``Tcycle``:
+    a group flips at most once in it, so its survivors start at the
+    first item at/after that flip."""
     tc = frame.t_cycle
     d = frame.offsets
-    # cut where two items are more than Tcycle apart (a group's mark can
-    # flip twice in between unseen, the Eq. 1 wrap): inside a piece a
-    # group's last flip is then the start of its last epoch
-    cuts = np.flatnonzero(np.diff(times) > tc) + 1
-    for piece_t, piece_v in zip(np.split(times, cuts), np.split(values, cuts)):
-        e_first = (int(piece_t[0]) + d) // tc
-        e_last = (int(piece_t[-1]) + d) // tc
-        last_parity = (e_last % 2).astype(np.uint8)
-        flipped = e_last > e_first
-        # survivors start at the first item at/after the last flip
-        start = np.zeros(frame.num_groups, dtype=np.int64)
-        start[flipped] = np.searchsorted(piece_t, (e_last * tc - d)[flipped])
-        frame._reset_groups(flipped | (frame.marks != last_parity))
-        frame.marks[:] = last_parity
-        _min_suffixes(frame.cells, piece_v, np.repeat(start, frame.group_width))
+    e_first = (int(times[0]) + d) // tc
+    e_last = (int(times[-1]) + d) // tc
+    last_parity = (e_last % 2).astype(np.uint8)
+    flipped = e_last > e_first
+    start = np.zeros(frame.num_groups, dtype=np.int64)
+    start[flipped] = np.searchsorted(times, (e_last * tc - d)[flipped])
+    frame._reset_groups(flipped | (frame.marks != last_parity))
+    frame.marks[:] = last_parity
+    _min_suffixes(frame.cells, values, np.repeat(start, frame.group_width))
 
 
 def _apply_dense_software(
@@ -291,8 +301,11 @@ def apply_columnar(
     if cell_idx is None:
         if kind is not UpdateKind.MIN_HASH:
             raise ValueError(f"a dense batch must be MIN_HASH, got {kind!r}")
-        dense = _apply_dense_hardware if hardware else _apply_dense_software
-        dense(frame, times, values)
+        if not hardware:
+            _apply_dense_software(frame, times, values)
+            return
+        for lo, hi in _tcycle_pieces(times, frame.t_cycle):
+            _apply_dense_hardware(frame, times[lo:hi], values[lo:hi])
         return
     cell_idx = np.asarray(cell_idx)
     # int64 indices skip NumPy's per-call index cast, which makes
@@ -307,5 +320,15 @@ def apply_columnar(
             f"cell_idx ({cell_idx.size}) must be a multiple of "
             f"times ({times.size})"
         )
-    sparse = _apply_hardware if hardware else _apply_software
-    sparse(frame, times, cell_idx, values, kind)
+    if not hardware:
+        _apply_software(frame, times, cell_idx, values, kind)
+        return
+    k = cell_idx.size // times.size
+    for lo, hi in _tcycle_pieces(times, frame.t_cycle):
+        _apply_hardware(
+            frame,
+            times[lo:hi],
+            cell_idx[lo * k:hi * k],
+            None if values is None else values[lo * k:hi * k],
+            kind,
+        )

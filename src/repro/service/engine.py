@@ -1254,8 +1254,23 @@ class StreamEngine:
 
     def snapshots(self) -> list:
         """Clock-aligned copies of all shards (flushes first)."""
+        return self._synced_read(self._exec.snapshots)
+
+    def _synced_read(self, read):
+        """``read()`` of every shard after a strict sync.
+
+        A worker that dies during the read is handed to the attached
+        supervisor; once it is rebuilt, its shards are caught up to the
+        clock and the read runs once more, as ``_surviving_snapshots``
+        does per shard.  Without a recovery the error re-raises.
+        """
         self._sync()
-        return self._exec.snapshots()
+        try:
+            return read()
+        except ShardError as err:
+            self._handle_executor_failure(err, strict=True)
+            self._advance_recovered(err)
+            return read()
 
     def _surviving_snapshots(self) -> tuple[list, set[int]]:
         """Aligned snapshots of live shards + the missing-shard set."""
@@ -1290,9 +1305,9 @@ class StreamEngine:
         (``peeks``) without copying them first.
         """
         started = time.perf_counter() if self._stages.enabled else None
-        self._sync()
+        shards = self._synced_read(self._exec.peeks)
         t = None if self._two_stream else self._t[0]
-        out = merge_many(self._exec.peeks(), t=t, require_aligned=True)
+        out = merge_many(shards, t=t, require_aligned=True)
         self._observe_fanin(started)
         return out
 
@@ -1416,11 +1431,9 @@ class StreamEngine:
             return self._degraded_answer(value, missing)
         if strict:
             started = time.perf_counter() if self._stages.enabled else None
-            self._sync()
+            shards = self._synced_read(self._exec.peeks)
             t = self._t[0]
-            out = np.sum(
-                [s.frequency_many(keys, t) for s in self._exec.peeks()], axis=0
-            )
+            out = np.sum([s.frequency_many(keys, t) for s in shards], axis=0)
             self._observe_fanin(started)
             return out
         snaps, missing = self._surviving_snapshots()

@@ -4,13 +4,16 @@ These are the keystone correctness tests of the repository — every SHE
 sketch funnels its insertions through ``apply_columnar``, so it must
 match the naive per-item references in ``helpers.py`` bit for bit on
 every update kind, both frames, both time layouts (one time per touch,
-or one per item with ``k`` touches each) and each of the hardware
-kernel's three branches.
+or one per item with ``k`` touches each) and both of the hardware
+kernel's branches.  A hardware batch spanning ``Tcycle`` or more is cut
+into pieces narrower than ``Tcycle`` before the kernel sees it; the
+"general" batches below are such inputs.
 """
 
 import numpy as np
 import pytest
 
+import repro.core.batch as batch
 from repro.core.base import make_frame
 from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
@@ -57,12 +60,13 @@ def _assert_same(fast, naive, modulus=None):
 
 
 def _hardware_branch(frame, touch_times, cells):
-    """Which of the kernel's three branches a batch exercises.
+    """Which kind of hardware batch this is.
 
     Recomputed from Algorithm 1's parity definition, independent of the
     kernel: ``"no-flip"`` when no group changes parity inside the batch,
-    ``"single-flip"`` when some do but the batch spans < Tcycle,
-    ``"general"`` otherwise.
+    ``"single-flip"`` when some do but the batch spans < Tcycle (the
+    kernel's two branches), ``"general"`` otherwise — a batch that
+    ``apply_columnar`` splits into pieces spanning < Tcycle each.
     """
     gids = cells // frame.group_width
     parity = ((touch_times + frame.offsets[gids]) // frame.t_cycle) % 2
@@ -123,7 +127,7 @@ def test_item_major_times_match_naive(frame_kind, kind, k):
 
 
 def _branch_batch(branch, cfg, m):
-    """A hand-built batch that lands in the named hardware branch."""
+    """A hand-built batch of the named ``_hardware_branch`` kind."""
     rng = np.random.default_rng(5)
     tc = cfg.t_cycle
     if branch == "no-flip":
@@ -187,7 +191,7 @@ def test_single_flip_add_one_undoes_discarded_prefix():
 def test_two_flips_just_over_one_tcycle(kind):
     """A span of Tcycle + 1 lets one group flip twice: the touch before
     the first flip must be discarded even though its parity matches the
-    group's last one."""
+    group's last one.  The batch is split, each flip in its own piece."""
     cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
     tc = cfg.t_cycle
     fast, naive = _frames("hardware", cfg, 8, kind)
@@ -241,7 +245,7 @@ def test_add_one_wraps_on_narrow_cells(branch):
         times = np.asarray([tc - 1] * 250 + [tc] * 10, dtype=np.int64)
         cells = np.ones(260, dtype=np.int64)
     else:
-        # a span of exactly one Tcycle takes the general branch
+        # a span of exactly one Tcycle: split into two pieces
         times = np.asarray([0] * 40 + [tc] * 270, dtype=np.int64)
         cells = np.ones(310, dtype=np.int64)
     assert _hardware_branch(fast, times, cells) == branch
@@ -269,6 +273,50 @@ def test_split_batches_equal_one_batch(frame_kind):
     f1.prepare_query_all(int(times[-1]))
     f2.prepare_query_all(int(times[-1]))
     assert np.array_equal(f1.cells, f2.cells)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+def test_hardware_kernels_only_see_pieces_narrower_than_tcycle(monkeypatch, dense):
+    """Both hardware kernels receive a batch as consecutive, non-empty
+    pieces that each span less than Tcycle: the invariant that lets
+    them keep only the no-flip and single-flip branches.  A gap of many
+    Tcycles costs one cut, not one per Tcycle."""
+    cfg = SheConfig(window=40, alpha=0.3, group_width=4)  # Tcycle 52
+    tc = cfg.t_cycle
+    name = "_apply_dense_hardware" if dense else "_apply_hardware"
+    real = getattr(batch, name)
+    pieces = []
+
+    def spy(frame, times, *rest):
+        pieces.append(times.copy())
+        real(frame, times, *rest)
+
+    monkeypatch.setattr(batch, name, spy)
+    rng = np.random.default_rng(11)
+    m, k = 16, 3
+    # 3 Tcycles of items, a 35-Tcycle gap, then 2 Tcycles more
+    times = np.concatenate([
+        np.sort(rng.integers(0, 3 * tc, size=120)),
+        np.sort(rng.integers(40 * tc, 42 * tc, size=80)),
+    ]).astype(np.int64)
+    fast, naive = _frames("hardware", cfg, m, UpdateKind.MIN_HASH)
+    if dense:
+        values = rng.integers(1, 255, size=(times.size, m)).astype(np.int64)
+        apply_columnar(fast, times, None, values, UpdateKind.MIN_HASH)
+        touches = [(j, t, values[i, j]) for i, t in enumerate(times) for j in range(m)]
+    else:
+        cells = rng.integers(0, m, size=times.size * k).astype(np.int64)
+        values = rng.integers(1, 255, size=cells.size).astype(np.int64)
+        apply_columnar(fast, times, cells, values, UpdateKind.MIN_HASH)
+        touches = zip(cells, np.repeat(times, k), values)
+    for c, t, v in touches:
+        naive.touch(int(c), int(t), UpdateKind.MIN_HASH, int(v))
+    _assert_same(fast, naive)
+
+    assert all(p.size and int(p[-1]) - int(p[0]) < tc for p in pieces)
+    assert np.array_equal(np.concatenate(pieces), times)
+    # piece starts are >= Tcycle apart: at most 3 before the gap, 2 after
+    assert 2 <= len(pieces) <= 5
 
 
 def test_empty_batch_is_noop():

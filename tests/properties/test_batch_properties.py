@@ -30,7 +30,12 @@ def touch_sequences(draw):
     m = w * groups
     cfg = SheConfig(window=window, alpha=alpha, group_width=w)
     n = draw(st.integers(1, 120))
-    span = draw(st.integers(1, 5 * cfg.t_cycle))
+    # up to ~200 Tcycles: batches the kernel splits into many pieces,
+    # with gaps long enough for a group's mark to wrap (Eq. 1)
+    span = draw(st.one_of(
+        st.integers(1, 5 * cfg.t_cycle),
+        st.integers(1, 200 * cfg.t_cycle),
+    ))
     times = sorted(draw(st.lists(st.integers(0, span), min_size=n, max_size=n)))
     cells = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
     values = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))

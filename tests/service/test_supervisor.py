@@ -435,3 +435,72 @@ class TestRecoveryMidSync:
             assert sup.snapshot()["last_error"] is None
         finally:
             eng.close()
+
+
+class TestRecoveryMidRead:
+    """A worker killed while a strict read fans out over the synced
+    shards is rebuilt by the supervisor, caught up to the clock, and
+    the read retried once: the caller sees the full answer, not
+    ``ShardDeadError``."""
+
+    @pytest.mark.parametrize("kill_at", [25, 26, 27, 28])
+    def test_snapshots_survive_a_kill_in_the_fan_out(
+            self, tmp_path, stream, kill_at):
+        config = cfg(
+            "cm", overload_policy="shed_oldest", down_retention_items=100
+        )
+        eng = StreamEngine(config, executor=lambda shards: ChaosExecutor(
+            SerialExecutor(shards), kill_worker_after_ops=kill_at))
+        sup = Supervisor(
+            eng, tmp_path,
+            policy=RetryPolicy(max_restarts=2, backoff_base_s=0.0),
+        )
+        try:
+            for lo in range(0, stream.size, 500):
+                eng.ingest(stream[lo:lo + 500])
+            eng.flush()
+            ops_before = eng._exec.ops
+            shards = eng.snapshots()
+            # the kill landed on a snapshot op, after the sync's advances
+            assert eng._exec.kills and eng._exec.kills[0][0] == kill_at
+            assert kill_at > ops_before + config.num_shards
+            assert eng.stats.worker_restarts == 1
+            assert eng.down_shards == ()
+            assert [s.t for s in shards] == [stream.size] * config.num_shards
+            assert sup.snapshot()["last_error"] is None
+        finally:
+            eng.close()
+
+    @pytest.mark.parametrize("kind,query", [
+        ("hll", lambda e: e.cardinality()),  # merged() fan-in
+        ("cm", lambda e: e.frequency_many(np.arange(50, dtype=np.uint64))),
+    ], ids=["merged", "summed"])
+    def test_strict_queries_survive_a_worker_lost_mid_read(
+            self, tmp_path, stream, monkeypatch, kind, query):
+        config = cfg(kind)
+        eng = StreamEngine(config, executor=lambda shards: ChaosExecutor(
+            SerialExecutor(shards)))
+        chaos = eng._exec
+        Supervisor(
+            eng, tmp_path,
+            policy=RetryPolicy(max_restarts=2, backoff_base_s=0.0),
+        )
+        real_peeks = chaos.peeks
+
+        def dying_peeks():
+            # a process executor's peeks is a snapshot RPC: the worker
+            # can die under it
+            if not chaos.kills:
+                chaos._kill(0)
+            return real_peeks()
+
+        monkeypatch.setattr(chaos, "peeks", dying_peeks)
+        try:
+            chunked_ingest(eng, stream)
+            got = query(eng)
+            assert chaos.kills and eng.stats.worker_restarts == 1
+            assert eng.down_shards == ()
+            np.testing.assert_array_equal(
+                got, query(reference_run(config, stream)))
+        finally:
+            eng.close()
