@@ -11,13 +11,18 @@ failed.
 Act two disables recovery (`RetryPolicy(max_restarts=0)`) and kills
 again: strict queries now raise typed errors naming the down shards,
 while `strict=False` queries keep answering from the survivors with an
-explicit coverage annotation — then an operator-style breaker reset
+explicit coverage annotation. Point queries read each key's owning
+shard, so keys on live shards still get the exact answer and keys on
+the down shards read as zero. Then an operator-style breaker reset
 brings the shards back.
+
+Every printed check must hold; the demo exits non-zero otherwise.
 
 Run:  python examples/fault_tolerance_demo.py
 """
 
 import shutil
+import sys
 import tempfile
 
 import numpy as np
@@ -33,6 +38,7 @@ from repro.service import (
     StreamEngine,
     Supervisor,
     format_stats,
+    shard_ids,
 )
 
 WINDOW = 1 << 12
@@ -63,7 +69,15 @@ def chaos_engine(kill_at: int, box: dict) -> StreamEngine:
     return StreamEngine(config(), executor=factory)
 
 
-def main() -> None:
+def check(label: str, ok: bool, failed: list) -> None:
+    """Print one check's outcome and remember it when it fails."""
+    print(f"  {label:<22}{bool(ok)}")
+    if not ok:
+        failed.append(label)
+
+
+def main() -> int:
+    failed: list[str] = []
     trace = BoundedZipf(5_000, 1.2, seed=23).sample(STREAM)
     probes = np.unique(trace)[:20]
 
@@ -83,7 +97,7 @@ def main() -> None:
     print(f"  kills injected        {box['chaos'].kills}")
     print(f"  worker restarts       {engine.stats.worker_restarts}")
     print(f"  items replayed        {engine.stats.items_replayed}")
-    print(f"  bit-identical result  {bool(np.array_equal(got, want))}")
+    check("bit-identical result", np.array_equal(got, want), failed)
     engine.close()
     shutil.rmtree(ckpt_dir)
 
@@ -101,12 +115,19 @@ def main() -> None:
     print(f"  down shards           {engine.down_shards}")
     try:
         engine.frequency_many(probes)
+        print("  strict query          answered despite down shards")
+        failed.append("strict query raised")
     except ShardUnrecoverableError as err:
         print(f"  strict query          raised {type(err).__name__}")
     degraded = engine.frequency_many(probes, strict=False)
     print(f"  degraded coverage     {degraded.shards_answered}/{degraded.shards_total}"
           f" (missing {degraded.missing_shards})")
     print(f"  caveat                {degraded.caveat}")
+    owners = shard_ids(probes, config().num_shards, config().shard_seed)
+    down = np.isin(owners, engine.down_shards)
+    check("live keys exact", np.array_equal(degraded.value[~down], want[~down]),
+          failed)
+    check("down keys read zero", not np.any(degraded.value[down]), failed)
 
     # operator steps in: refill the budget and bring the shards back
     supervisor.policy = RetryPolicy(max_restarts=2)
@@ -115,7 +136,7 @@ def main() -> None:
     got = engine.frequency_many(probes)
     print("  after recover_down()")
     print(f"  down shards           {engine.down_shards}")
-    print(f"  bit-identical result  {bool(np.array_equal(got, want))}")
+    check("bit-identical result", np.array_equal(got, want), failed)
     print()
     print(format_stats({
         k: v for k, v in engine.stats_snapshot().items()
@@ -126,7 +147,10 @@ def main() -> None:
     engine.close()
     reference.close()
     shutil.rmtree(ckpt_dir)
+    if failed:
+        print(f"FAILED checks: {', '.join(failed)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -16,10 +16,16 @@ After each run the demo prints the conservation ledger
 (`ingested == flushed + buffered + shed + retained_down`), the overload
 snapshot served on `/statusz`, and a degraded query showing the shed
 caveat.  Buffers stay bounded in every run; without budgets the pinned
-shard's buffer would grow with the stream.
+shard's buffer would grow with the stream.  Point queries read each
+key's owning shard, so in the degraded query the stalled shard's keys
+read as zero while the others still answer.
+
+Every printed check must hold; the demo exits non-zero otherwise.
 
 Run:  python examples/overload_demo.py
 """
+
+import sys
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from repro.service import (
     ProcessExecutor,
     StreamEngine,
     format_stats,
+    shard_ids,
 )
 
 WINDOW = 1 << 12
@@ -67,8 +74,10 @@ def slow_then_stalled_executor(shards):
     )
 
 
-def drive(policy: str, stream: np.ndarray) -> None:
+def drive(policy: str, stream: np.ndarray) -> list[str]:
+    """Run one policy; returns the labels of the checks that failed."""
     print(f"\n=== policy: {policy} ===")
+    failed: list[str] = []
     eng = StreamEngine(config(policy), executor=slow_then_stalled_executor)
     rejected_batches = 0
     try:
@@ -98,8 +107,11 @@ def drive(policy: str, stream: np.ndarray) -> None:
                 "items_shed", "items_rejected", "items_retained_down",
             )
         }))
+        conserved = snap["items_ingested"] == ledger
         print(f"  conservation: {snap['items_ingested']} == {ledger}  "
-              f"({'OK' if snap['items_ingested'] == ledger else 'BROKEN'})")
+              f"({'OK' if conserved else 'BROKEN'})")
+        if not conserved:
+            failed.append(f"{policy}: conservation")
         over = eng.overload_snapshot()
         print(f"  overload snapshot: depths={over['queue_depths']} "
               f"high_water={over['queue_high_water']} "
@@ -107,28 +119,38 @@ def drive(policy: str, stream: np.ndarray) -> None:
 
         # degraded query: shard 0 is down, and under the shed policies
         # its recent history may also have been dropped
-        probe = stream[:8]
+        probe = np.unique(stream[:64])
         ans = eng.frequency_many(probe, strict=False)
         print(f"  strict=False query: {ans.shards_answered}/{ans.shards_total} "
               f"shards, missing={ans.missing_shards} shed={ans.shed_shards}")
         if ans.caveat:
             print(f"  caveat: {ans.caveat}")
+        owners = shard_ids(probe, eng.num_shards, eng.config.shard_seed)
+        stalled_zero = not np.any(ans.value[owners == 0])
+        print(f"  stalled shard's keys read zero: {stalled_zero}")
+        if ans.missing_shards != (0,) or not stalled_zero:
+            failed.append(f"{policy}: degraded query")
     finally:
         eng.close()
+    return failed
 
 
-def main() -> None:
+def main() -> int:
     stream = BoundedZipf(20_000, 1.05, seed=31).sample(BURSTS * BURST_SIZE)
     print(
         f"burst: {BURSTS} x {BURST_SIZE} items, per-shard budget "
         f"{PER_SHARD_BUDGET}, down-shard retention {PER_SHARD_BUDGET // 4}, "
         f"worker 0 slow ({SLOW_SECONDS * 1e3:.0f} ms/op) then stalled"
     )
-    for policy in OVERLOAD_POLICIES:
-        drive(policy, stream)
+    failed = [label for policy in OVERLOAD_POLICIES
+              for label in drive(policy, stream)]
+    if failed:
+        print(f"\nFAILED checks: {', '.join(failed)}")
+        return 1
     print("\nevery run stayed inside its budgets; an unbounded engine "
           "would have retained the stalled shard's whole backlog")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

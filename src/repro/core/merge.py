@@ -98,7 +98,8 @@ def merge_sketches(a, b, *, t: int | None = None):
 def merge_many(sketches, *, t: int | None = None, require_aligned: bool = False):
     """Combine a collection of shard sketches into one new sketch.
 
-    This is the query fan-in of the sharded service: read every shard
+    This is the whole-array query path of the sharded service (point
+    queries read each key's owning shard instead): read every shard
     as it stands at the common time ``t`` and fold the reads with the
     algorithm's cell combine, in one pass and without copying or
     cleaning the operands.  The result is a *new* sketch (the first

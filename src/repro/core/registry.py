@@ -11,8 +11,8 @@ everything the surrounding system needs to treat an algorithm uniformly:
 * the cell-merge operator (derived from the spec's
   :class:`~repro.core.csm.UpdateKind` unless overridden) and the merge
   compatibility ``signature``,
-* which typed queries it answers and how the engine fans a query across
-  shards (``merge`` the snapshots vs ``sum`` per-shard estimates),
+* which typed queries it answers (the engine routes point queries to
+  each key's owning shard and merges the shards for whole-array ones),
 * serialize/deserialize hooks (``to_state`` / ``from_state``),
 * memory-budget sizing (``from_memory``).
 
@@ -227,11 +227,6 @@ class AlgoDescriptor:
             from ``spec.update`` when omitted.
         queries: typed queries the algorithm answers (``"membership"``,
             ``"cardinality"``, ``"frequency"``, ``"similarity"``).
-        query_fanin: how the engine answers a query across shards —
-            ``"merge"`` combines aligned snapshots into one sketch,
-            ``"sum"`` adds per-shard estimates (Count-Min: summation
-            preserves the never-underestimate guarantee that a
-            min-over-merged-counters would dilute).
         degraded_caveat: what guarantee missing shards cost a
             ``strict=False`` query (:class:`DegradedAnswer.caveat`).
         shed_caveat: what guarantee is lost when admission control shed
@@ -260,7 +255,6 @@ class AlgoDescriptor:
     two_stream: bool = False
     cell_merge: Callable | None = None
     queries: frozenset = frozenset()
-    query_fanin: str = "merge"
     degraded_caveat: str = (
         "missing shards' keys are unrepresented; per-key and aggregate "
         "answers may be incomplete"
@@ -278,10 +272,6 @@ class AlgoDescriptor:
     def __post_init__(self) -> None:
         if not self.kind:
             raise ValueError("descriptor needs a non-empty kind string")
-        if self.query_fanin not in ("merge", "sum"):
-            raise ValueError(
-                f"query_fanin must be 'merge' or 'sum', got {self.query_fanin!r}"
-            )
         if not self.class_name:
             object.__setattr__(self, "class_name", self.cls.__name__)
         if self.cell_merge is None and self.spec is not None:
@@ -314,7 +304,7 @@ class AlgoDescriptor:
         """The caveat a ``strict=False`` answer should carry.
 
         The engine's degraded-query path calls this with whether shards
-        were missing from the fan-in and whether any answering shard
+        were missing from the read and whether any answering shard
         shed arrivals inside the current window; both can hold at once,
         in which case the caveats concatenate.
         """
@@ -690,7 +680,6 @@ register_algorithm(AlgoDescriptor(
     size_arg="num_counters",
     spec=COUNT_MIN_SPEC,
     queries=frozenset({"frequency"}),
-    query_fanin="sum",
     degraded_caveat=(
         "one-sided error is lost: keys owned by missing shards can be "
         "underestimated (down to zero)"

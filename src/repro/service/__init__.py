@@ -2,7 +2,8 @@
 
 The serving layer over the SHE sketch library: hash-sharded ingestion
 with batched flushes (:class:`StreamEngine`), optional multiprocessing
-flush executors, merge-based query fan-in, atomic checkpoint/recovery
+flush executors, point queries routed to each key's owning shard and
+merge-based whole-array queries, atomic checkpoint/recovery
 (:class:`Checkpointer`, :func:`recover_engine`), in-process counters
 (:class:`EngineStats`), and a fault-tolerance layer: RPC deadlines and
 a typed error hierarchy (:mod:`repro.service.errors`), worker
@@ -31,7 +32,7 @@ Quickstart::
     sup = Supervisor(engine, "/var/tmp/ckpts")   # deadline+restart+replay
     exporter = MetricsExporter(engine).start()   # Prometheus endpoint
     engine.ingest(keys)                  # buffered, batched, sharded
-    engine.frequency(some_key)           # per-shard fan-in sum
+    engine.frequency(some_key)           # read from the key's owning shard
     engine.frequency(some_key, strict=False)  # survives down shards
     engine.close()
 """

@@ -1,8 +1,9 @@
-"""The sharded streaming engine: ingestion, routing and query fan-in.
+"""The sharded streaming engine: ingestion, routing and queries.
 
 ``StreamEngine`` turns the single-sketch SHE library into a serving
 layer, following the shard-then-merge pattern of Papapetrou et al.'s
-distributed sliding-window monitors:
+distributed sliding-window monitors for whole-array queries, and
+reading each key's owning shard for point queries:
 
 * **Sharding.** Keys hash-partition across ``S`` shards; every shard is
   an independent SHE sketch built from one prototype, so all shards
@@ -28,14 +29,14 @@ distributed sliding-window monitors:
   buffered items with exact per-shard accounting.  The default
   (no budgets) is today's unbounded behaviour, untouched.
 
-* **Query fan-in.** Membership / cardinality / similarity fold the
-  shards via ``merge_many``, which reads them without copying or
-  cleaning them, so queries never change shard state; the engine
-  answers exactly as the merged single sketch would.  Frequency (SHE-CM) sums
-  the per-shard estimates instead: counts of one key live entirely on
-  its owning shard, and cross-shard summation preserves Count-Min's
-  never-underestimate guarantee, which a min-over-summed-counters
-  merge would dilute with other shards' collision noise.
+* **Queries.** Every query reads the live shards once, without
+  copying or cleaning them, so queries never change shard state.
+  Point queries (membership, frequency) go to each key's owning
+  shard alone: every arrival of a key lives there, so the owner's
+  answer is exact for the sketch it is, and no other shard's load
+  adds to its error.  Whole-array queries (cardinality, similarity,
+  quantile) fold the shards via ``merge_many`` and answer exactly as
+  the merged single sketch would.
 
 * **Failure containment.** Executor failures arrive as the typed
   hierarchy of :mod:`repro.service.errors` and never lose data: a
@@ -92,6 +93,13 @@ OVERLOAD_POLICIES = ("raise", "shed_oldest", "shed_newest", "block")
 #: longer reads (``transport`` chose the removed shared-memory flush
 #: ring); :meth:`EngineConfig.from_json` drops them
 RETIRED_CONFIG_KEYS = frozenset({"transport"})
+
+#: point queries: the sketch method that answers one, and the value a
+#: key reads as when its owning shard is missing from a degraded answer
+_POINT_QUERIES = {
+    "membership": ("contains_many", False),
+    "frequency": ("frequency_many", 0.0),
+}
 
 #: replay coalesces consecutive same-side log records into batches of
 #: about this many items, so a log of small appends still replays
@@ -303,8 +311,10 @@ class EngineConfig:
 class DegradedAnswer:
     """A ``strict=False`` query result plus its shard coverage.
 
-    ``value`` is the usual answer computed over the surviving shards
-    (``None`` when every shard is down).  ``caveat`` spells out, per
+    ``value`` is the usual answer computed over the surviving shards:
+    per key for point queries (a missing owner's keys read ``False`` /
+    ``0.0``), and ``None`` for a whole-array query when every shard is
+    down.  ``caveat`` spells out, per
     sketch kind, which guarantee the missing shards cost — e.g. SHE-CM
     loses its one-sided error: keys owned by a missing shard can now be
     *under*-estimated (to zero), which a strict CM answer never does.
@@ -1217,7 +1227,7 @@ class StreamEngine:
             )
         self._check_open()
         with self.obs.tracer.span("engine.sync", strict=strict) as sync_span:
-            # remembered for the query_fanin stage exemplar: the fan-in
+            # remembered for the query_fanin stage exemplar: the read
             # that follows this sync belongs to the same logical trace
             self._last_sync_trace = sync_span.trace_id
             self._flush_buffers(self._flushable_keys(), strict=strict)
@@ -1254,60 +1264,55 @@ class StreamEngine:
 
     def snapshots(self) -> list:
         """Clock-aligned copies of all shards (flushes first)."""
-        return self._synced_read(self._exec.snapshots)
+        return list(self._read(strict=True, copy=True)[0].values())
 
-    def _synced_read(self, read):
-        """``read()`` of every shard after a strict sync.
+    def _read(self, strict: bool, copy: bool = False) -> tuple[dict, set[int]]:
+        """The one read behind every query: ``({shard: view}, missing)``.
 
-        A worker that dies during the read is handed to the attached
-        supervisor; once it is rebuilt, its shards are caught up to the
-        clock and the read runs once more, as ``_surviving_snapshots``
-        does per shard.  Without a recovery the error re-raises.
+        Syncs, then reads every live shard in one fan-out: the
+        executor's read-side views (``peeks``: the shards themselves in
+        process, pipelined snapshots from workers) or, with ``copy``,
+        isolated copies (``snapshots``).  A failed read goes through
+        ``_handle_executor_failure``: workers the supervisor rebuilds
+        are caught up to the clock and the read runs once more, and
+        shards that stay lost raise on a strict read and are reported
+        missing from a degraded one.
         """
-        self._sync()
-        try:
-            return read()
-        except ShardError as err:
-            self._handle_executor_failure(err, strict=True)
-            self._advance_recovered(err)
-            return read()
-
-    def _surviving_snapshots(self) -> tuple[list, set[int]]:
-        """Aligned snapshots of live shards + the missing-shard set."""
-        self._sync(strict=False)
-        snaps: list = []
-        missing = set(self._down)
-        for s in range(self.config.num_shards):
-            if s in self._down:
-                continue
-            snap = None
+        self._sync(strict)
+        read = self._exec.snapshots if copy else self._exec.peeks
+        lost: set[int] = set()  # failed again after this read's rebuild
+        rebuilt = False
+        while True:
+            missing = self._down | lost
+            live = [s for s in range(self.config.num_shards) if s not in missing]
             try:
-                snap = self._exec.snapshot(s)
+                return dict(zip(live, read(live))), missing
             except ShardError as err:
-                if self._handle_executor_failure(err, strict=False):
-                    try:  # recovered mid-query: one retry
-                        self._advance_recovered(err)
-                        snap = self._exec.snapshot(s)
-                    except ShardError:
-                        pass
-            if snap is None:
-                missing.add(s)
-            else:
-                snaps.append(snap)
-        return snaps, missing | self._down
+                if not rebuilt and self._handle_executor_failure(err, strict=strict):
+                    rebuilt = True
+                    self._advance_recovered(err)
+                elif strict:
+                    raise
+                else:
+                    lost |= self._shards_of_error(err)
+
+    def _merge(self, views: dict):
+        """``merge_many`` over the views; None when no shard answered."""
+        if not views:
+            return None
+        t = None if self._two_stream else self._t[0]
+        return merge_many(list(views.values()), t=t, require_aligned=True)
 
     def merged(self):
         """One sketch equal to observing the union stream unsharded.
 
-        This is the engine's fan-in: ``merge_many`` over the aligned
-        shards, per :mod:`repro.core.merge` semantics.  The merge only
-        reads its operands, so it folds the in-process shard views
-        (``peeks``) without copying them first.
+        ``merge_many`` over the aligned shards, per
+        :mod:`repro.core.merge` semantics.  The merge only reads its
+        operands, so it folds the read-side shard views (``peeks``)
+        without copying them first.
         """
         started = time.perf_counter() if self._stages.enabled else None
-        shards = self._synced_read(self._exec.peeks)
-        t = None if self._two_stream else self._t[0]
-        out = merge_many(shards, t=t, require_aligned=True)
+        out = self._merge(self._read(strict=True)[0])
         self._observe_fanin(started)
         return out
 
@@ -1357,103 +1362,90 @@ class StreamEngine:
             shed_shards=tuple(sorted(shed)),
         )
 
-    def _degraded_merged(self) -> tuple[Any, set[int]]:
+    def _answer(self, query: str, strict: bool, answer):
+        """Run ``answer(views)`` over one read and wrap the result:
+        the bare value when strict, a :class:`DegradedAnswer` otherwise.
+        Files one ``query_fanin`` stage sample either way."""
+        self._require_query(query)
+        self.stats.record_query()
         started = time.perf_counter() if self._stages.enabled else None
-        snaps, missing = self._surviving_snapshots()
-        if not snaps:
-            return None, missing
-        t = None if self._two_stream else self._t[0]
-        out = merge_many(snaps, t=t, require_aligned=True), missing
+        views, missing = self._read(strict)
+        value = answer(views)
         self._observe_fanin(started)
-        return out
+        return value if strict else self._degraded_answer(value, missing)
+
+    def _point(self, query: str, keys, strict: bool):
+        """A point query answered by each key's owning shard alone.
+
+        Keys hash-partition, so every arrival of a key lives on its
+        owner: the owner's answer is the sketch's own, within the §5
+        bound of the items that one shard holds, with no other shard's
+        load added.  Keys whose owner is missing read as the kind's
+        empty value (``False`` / ``0.0``).
+        """
+        method, empty = _POINT_QUERIES[query]
+        keys = as_key_array(keys)
+
+        def route(views: dict) -> np.ndarray:
+            out = np.full(keys.shape, empty)
+            owners = shard_ids(keys, self.config.num_shards, self.config.shard_seed)
+            for s, view in views.items():
+                mine = owners == s
+                if mine.any():
+                    out[mine] = getattr(view, method)(keys[mine], self._t[0])
+            return out
+
+        return self._answer(query, strict, route)
+
+    def _whole(self, query: str, strict: bool, answer):
+        """A whole-array query: ``answer`` of the live shards' merge
+        (None when no shard answered)."""
+
+        def fold(views: dict):
+            merged = self._merge(views)
+            return None if merged is None else answer(merged)
+
+        return self._answer(query, strict, fold)
 
     def contains(self, key: int, *, strict: bool = True):
         """Membership of ``key`` in the window (BF engines)."""
         res = self.contains_many(np.asarray([key], dtype=np.uint64), strict=strict)
         if strict:
             return bool(res[0])
-        value = None if res.value is None else bool(res.value[0])
-        return dataclasses.replace(res, value=value)
+        return dataclasses.replace(res, value=bool(res.value[0]))
 
     def contains_many(self, keys, *, strict: bool = True):
-        """Windowed membership per key; ``strict=False`` answers from
-        surviving shards as a :class:`DegradedAnswer` when some are
-        down (their keys may come back as false negatives)."""
-        self._require_query("membership")
-        self.stats.record_query()
-        if strict:
-            return self.merged().contains_many(keys)
-        merged, missing = self._degraded_merged()
-        value = None if merged is None else merged.contains_many(keys)
-        return self._degraded_answer(value, missing)
+        """Windowed membership per key, from each key's owning shard;
+        ``strict=False`` answers as a :class:`DegradedAnswer` when some
+        shards are down (their keys read as absent)."""
+        return self._point("membership", keys, strict)
 
     def cardinality(self, *, strict: bool = True):
         """Distinct keys in the window (BM / HLL engines)."""
-        self._require_query("cardinality")
-        self.stats.record_query()
-        if strict:
-            return self.merged().cardinality()
-        merged, missing = self._degraded_merged()
-        value = None if merged is None else merged.cardinality()
-        return self._degraded_answer(value, missing)
+        return self._whole("cardinality", strict, lambda m: m.cardinality())
 
     def frequency(self, key: int, *, strict: bool = True):
         """Windowed count of ``key`` (CM engines)."""
         res = self.frequency_many(np.asarray([key], dtype=np.uint64), strict=strict)
         if strict:
             return float(res[0])
-        value = None if res.value is None else float(res.value[0])
-        return dataclasses.replace(res, value=value)
+        return dataclasses.replace(res, value=float(res.value[0]))
 
     def frequency_many(self, keys, *, strict: bool = True):
-        """Windowed count estimates, fanned across shards per the
-        algorithm's descriptor.
+        """Windowed count estimates, from each key's owning shard.
 
-        Count-Min declares ``query_fanin="sum"``: counts of one key live
-        entirely on its owning shard, and cross-shard summation
-        preserves the never-underestimate guarantee that a
-        min-over-merged-counters would dilute.  Algorithms declaring
-        ``"merge"`` answer from the merged snapshot instead.
-
-        ``strict=False`` answers over surviving shards only — Count-Min's
-        one-sided error does not survive that (keys owned by a missing
-        shard can be underestimated to zero), which the returned
-        :class:`DegradedAnswer` says explicitly.
+        Counts of one key live entirely on its owner, so the owner's
+        estimate is the sketch's own: it never underestimates through
+        mature counters, and no other shard's collision noise is added.
+        ``strict=False`` answers from the live shards; keys owned by a
+        missing shard read as zero, which the returned
+        :class:`DegradedAnswer`'s caveat says explicitly.
         """
-        self._require_query("frequency")
-        self.stats.record_query()
-        keys = as_key_array(keys)
-        if self._desc.query_fanin != "sum":
-            if strict:
-                return self.merged().frequency_many(keys)
-            merged, missing = self._degraded_merged()
-            value = None if merged is None else merged.frequency_many(keys)
-            return self._degraded_answer(value, missing)
-        if strict:
-            started = time.perf_counter() if self._stages.enabled else None
-            shards = self._synced_read(self._exec.peeks)
-            t = self._t[0]
-            out = np.sum([s.frequency_many(keys, t) for s in shards], axis=0)
-            self._observe_fanin(started)
-            return out
-        snaps, missing = self._surviving_snapshots()
-        t = self._t[0]
-        value = (
-            np.sum([s.frequency_many(keys, t) for s in snaps], axis=0)
-            if snaps
-            else None
-        )
-        return self._degraded_answer(value, missing)
+        return self._point("frequency", keys, strict)
 
     def similarity(self, *, strict: bool = True):
         """Jaccard similarity of the two streams (MH engines)."""
-        self._require_query("similarity")
-        self.stats.record_query()
-        if strict:
-            return self.merged().similarity()
-        merged, missing = self._degraded_merged()
-        value = None if merged is None else merged.similarity()
-        return self._degraded_answer(value, missing)
+        return self._whole("similarity", strict, lambda m: m.similarity())
 
     def quantile(self, q: float, *, strict: bool = True):
         """The ``q``-quantile of the windowed measurements (WQ engines).
@@ -1465,13 +1457,7 @@ class StreamEngine:
         (approximately) the last ``window`` arrivals of the union
         stream.  NaN when the window holds no samples.
         """
-        self._require_query("quantile")
-        self.stats.record_query()
-        if strict:
-            return self.merged().quantile(q)
-        merged, missing = self._degraded_merged()
-        value = None if merged is None else merged.quantile(q)
-        return self._degraded_answer(value, missing)
+        return self._whole("quantile", strict, lambda m: m.quantile(q))
 
     # -- observability -------------------------------------------------------
 

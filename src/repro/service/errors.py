@@ -5,7 +5,7 @@ has a different remedy: a timed-out RPC may still complete (restart and
 replay from a durable base, never resend blind), a dead worker needs a
 restart, a worker-reported exception is the caller's bug, and a shard
 that cannot be rebuilt (no checkpoint, replay overflow, circuit breaker
-open) can only be dropped from the fan-in.  The supervisor and the
+open) can only be dropped from the engine's reads.  The supervisor and the
 engine's degraded-query mode dispatch on these types; everything
 derives from :class:`ShardError` (itself a ``RuntimeError`` so legacy
 ``except RuntimeError`` call sites keep working).

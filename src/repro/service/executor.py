@@ -180,17 +180,23 @@ class SerialExecutor:
         """An isolated copy of one shard, safe to merge or mutate."""
         return copy.deepcopy(self._shards[shard_id])
 
-    def snapshots(self) -> list:
-        return [self.snapshot(s) for s in range(self.num_shards)]
+    def snapshots(self, shard_ids=None) -> list:
+        """Copies of the listed shards (all of them by default)."""
+        if shard_ids is None:
+            shard_ids = range(self.num_shards)
+        return [self.snapshot(s) for s in shard_ids]
 
-    def peeks(self) -> list:
-        """Read-side view of the shards without copying.
+    def peeks(self, shard_ids=None) -> list:
+        """Read-side views of the listed shards (all by default), not
+        copied.
 
         Callers may run point queries and ``merge_many``, which only
         read frames, but must not insert or run whole-array queries
         (``prepare_query_all`` cleans in place).
         """
-        return self._shards
+        if shard_ids is None:
+            return self._shards
+        return [self._shards[s] for s in shard_ids]
 
     def checkpoint(self, shard_id: int, path) -> None:
         save_sketch(self._shards[shard_id], path)
@@ -575,17 +581,20 @@ class ProcessExecutor:
     def snapshot(self, shard_id: int):
         return self._call(shard_id, "snapshot", shard_id)
 
-    def snapshots(self) -> list:
-        """Copies of all shards, fanned out like ``flush_many``.
+    def snapshots(self, shard_ids=None) -> list:
+        """Copies of the listed shards (all by default), fanned out
+        like ``flush_many``.
 
         Every worker's acknowledgements are drained even after one
         fails, so surviving workers' pipes stay in protocol sync; the
         first error is re-raised afterwards.
         """
+        if shard_ids is None:
+            shard_ids = range(self._num_shards)
         sent: list[int] = []  # shard ids whose request went out
         first_error: Exception | None = None
         dead_workers: set[int] = set()
-        for s in range(self._num_shards):
+        for s in shard_ids:
             w = self.worker_of(s)
             if w in dead_workers:
                 continue
@@ -610,11 +619,11 @@ class ProcessExecutor:
                 first_error = first_error or exc
         if first_error is not None:
             raise first_error
-        return [out[s] for s in range(self._num_shards)]
+        return [out[s] for s in shard_ids]
 
-    def peeks(self) -> list:
+    def peeks(self, shard_ids=None) -> list:
         """Worker-owned shards can only be observed by copying."""
-        return self.snapshots()
+        return self.snapshots(shard_ids)
 
     def checkpoint(self, shard_id: int, path) -> None:
         self._call(shard_id, "checkpoint", shard_id, path)

@@ -289,14 +289,18 @@ class ChaosExecutor:
     def snapshot(self, shard_id: int):
         return self._run(shard_id, self._inner.snapshot, shard_id, op="snapshot")
 
-    def snapshots(self) -> list:
-        return [self.snapshot(s) for s in range(self.num_shards)]
+    def snapshots(self, shard_ids=None) -> list:
+        if shard_ids is None:
+            shard_ids = range(self.num_shards)
+        return [self.snapshot(s) for s in shard_ids]
 
-    def peeks(self) -> list:
-        """Read-only views are not ops; simulated deaths still apply."""
-        for w in self._dead:
+    def peeks(self, shard_ids=None) -> list:
+        """Read-only views are not ops; simulated deaths of the workers
+        owning the listed shards still apply."""
+        ids = range(self.num_shards) if shard_ids is None else shard_ids
+        for w in sorted(self._dead & {self.worker_of(s) for s in ids}):
             self._guard(w, shard_ids=tuple(self.shards_of(w)))
-        return self._inner.peeks()
+        return self._inner.peeks(shard_ids)
 
     def checkpoint(self, shard_id: int, path) -> None:
         worker_id = self.worker_of(shard_id)

@@ -74,11 +74,6 @@ class TestBuiltinRegistrations:
         for kind in ("bf", "bm", "hll", "cm", GENERIC_KIND):
             assert not get_descriptor(kind).two_stream
 
-    def test_cm_fans_in_by_sum(self):
-        assert get_descriptor("cm").query_fanin == "sum"
-        for kind in ("bf", "bm", "hll", "mh"):
-            assert get_descriptor(kind).query_fanin == "merge"
-
     def test_queries_declared(self):
         assert "membership" in get_descriptor("bf").queries
         assert "cardinality" in get_descriptor("bm").queries
@@ -132,12 +127,6 @@ class TestRegistration:
     def test_empty_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             AlgoDescriptor(kind="", cls=object, size_arg="x")
-
-    def test_bad_fanin_rejected(self):
-        with pytest.raises(ValueError, match="query_fanin"):
-            AlgoDescriptor(
-                kind="x", cls=object, size_arg="x", query_fanin="median"
-            )
 
 
 class TestSpecJson:

@@ -487,12 +487,12 @@ class TestRecoveryMidRead:
         )
         real_peeks = chaos.peeks
 
-        def dying_peeks():
+        def dying_peeks(*args):
             # a process executor's peeks is a snapshot RPC: the worker
             # can die under it
             if not chaos.kills:
                 chaos._kill(0)
-            return real_peeks()
+            return real_peeks(*args)
 
         monkeypatch.setattr(chaos, "peeks", dying_peeks)
         try:

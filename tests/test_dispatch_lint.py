@@ -30,6 +30,14 @@ every batch through its worker pipe; the shared-memory ring it once
 offered as an alternative is gone, so no module under ``src/`` imports
 ``repro.service.shm``, passes or accepts a ``transport`` argument, or
 names the ring or the knobs that selected it.
+
+A fifth rule keeps engine queries on one read path.  Point queries read
+each key's owning shard and whole-array queries merge the live shards,
+both through ``StreamEngine._read``; so neither the descriptor's
+per-kind fan-in choice (``query_fanin``) nor the engine's three
+separate read routines it replaced are named under ``src/``.  The
+``query_fanin`` latency stage keeps its name, so that name is allowed
+as a string.
 """
 
 import ast
@@ -91,6 +99,16 @@ REMOVED_TRANSPORT_NAMES = {
     "TRANSPORTS",
     "REPRO_TRANSPORT",
 }
+
+#: the engine read routines ``StreamEngine._read`` replaced
+REMOVED_READ_NAMES = {
+    "_surviving_snapshots",
+    "_degraded_merged",
+    "_synced_read",
+}
+
+#: the removed descriptor field; as a string it is the stage name
+REMOVED_FANIN_FIELD = "query_fanin"
 
 
 def _names_in(node: ast.expr):
@@ -336,3 +354,50 @@ def test_transport_lint_detects_violations(tmp_path):
     assert any("SlotRing" in f for f in found)
     assert any("REPRO_TRANSPORT" in f for f in found)
     assert any("ring_slot_items" in f for f in found)
+
+
+def _read_path_violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        for name in _identifiers(node):
+            if name in REMOVED_READ_NAMES:
+                found.append(f"{path}:{line}: removed read routine {name}")
+            elif name == REMOVED_FANIN_FIELD and not isinstance(node, ast.Constant):
+                found.append(f"{path}:{line}: removed descriptor field {name}")
+    return found
+
+
+def test_queries_have_one_read_path():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        offenders.extend(_read_path_violations(path))
+    assert not offenders, (
+        "engine queries read through StreamEngine._read, point queries "
+        "from each key's owning shard; the per-kind fan-in and the old "
+        "read routines are gone:\n" + "\n".join(offenders)
+    )
+
+
+def test_read_path_lint_detects_violations(tmp_path):
+    """The rule is live: the fan-in field and old routines are caught."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "class Descriptor:\n"
+        "    query_fanin: str = 'merge'\n"
+        "def answer(engine, desc, keys):\n"
+        "    if desc.query_fanin == 'sum':\n"
+        "        return engine._synced_read(engine._exec.peeks)\n"
+        "    snaps, missing = engine._surviving_snapshots()\n"
+        "    getattr(engine, '_degraded_merged')()\n"
+        "    return Descriptor(kind='cm', query_fanin='sum')\n"
+        "# engine._synced_read() in a comment is fine\n"
+        "STAGES = ('apply', 'query_fanin')\n"
+    )
+    found = _read_path_violations(bad)
+    assert len(found) == 6
+    assert sum("descriptor field query_fanin" in f for f in found) == 3
+    assert any("_synced_read" in f for f in found)
+    assert any("_surviving_snapshots" in f for f in found)
+    assert any("_degraded_merged" in f for f in found)
