@@ -231,6 +231,6 @@ class SheSketchBase:
         :meth:`_insert_at` feeds these columns to the one apply kernel,
         :func:`repro.core.batch.apply_columnar`.  ``times`` may stay
         item-major (one per key, ``cell_idx`` holding ``k`` touches per
-        key); the kernel expands it.
+        key).
         """
         raise NotImplementedError

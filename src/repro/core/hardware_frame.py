@@ -77,27 +77,46 @@ class HardwareFrame:
 
     # -- mark arithmetic ---------------------------------------------------
 
-    def _mark_split(self, t: int) -> tuple[int, int]:
-        """``(n, mark)``: groups ``gid < n`` carry ``mark`` at time ``t``,
-        the rest carry ``1 - mark``.
+    def _mark_split(
+        self, times: np.ndarray | int
+    ) -> tuple[np.ndarray | int, int, int]:
+        """``(n, mark, cut)`` for non-decreasing ``int64`` ``times`` that
+        span less than ``Tcycle``: at ``times[i]``, groups ``gid < n[i]``
+        carry ``mark`` if ``i < cut`` else ``1 - mark``, and the rest
+        carry the other one.  A scalar time is a one-time piece: ``n``
+        is an int and ``cut`` is 1.
 
         With ``t = q*Tcycle + r``, ``(t + d_gid) // Tcycle`` is ``q``
         while ``d_gid >= -r`` and ``q - 1`` after; the offsets fall
         monotonically from 0, so the first run holds the
-        ``ceil((r + 1) * G / Tcycle)`` groups with ``floor(Tcycle *
-        gid / G) <= r``.
+        ``ceil((r + 1) * G / Tcycle) <= G`` groups with ``floor(Tcycle *
+        gid / G) <= r``, and the mark is ``q mod 2``.  The span bound
+        leaves ``q`` two values, split at ``cut``, so ``n`` is the one
+        per-time buffer the arithmetic allocates.
         """
-        q, r = divmod(int(t), self.t_cycle)
-        n = min(self.num_groups, -(-(r + 1) * self.num_groups // self.t_cycle))
-        return n, q % 2
+        tc = self.t_cycle
+        if isinstance(times, np.ndarray):
+            q = int(times[0]) // tc
+            n = times - q * tc  # r, in place from here on
+            cut = int(np.searchsorted(n, tc))
+            n[cut:] -= tc
+        else:
+            # Python ints: NumPy's per-call cost would dominate one time
+            q, n = divmod(int(times), tc)
+            cut = 1
+        n += 1
+        n *= self.num_groups
+        n += tc - 1
+        n //= tc
+        return n, q & 1, cut
 
     def _current_marks(self, gids: np.ndarray, t: int) -> np.ndarray:
         """Current 1-bit marks of ``gids`` at time ``t`` (Algorithm 1 l.2)."""
-        n, mark = self._mark_split(t)
+        n, mark, _ = self._mark_split(t)
         return (np.asarray(gids) >= n).view(np.uint8) ^ np.uint8(mark)
 
     def _current_marks_all(self, t: int) -> np.ndarray:
-        n, mark = self._mark_split(t)
+        n, mark, _ = self._mark_split(t)
         out = np.full(self.num_groups, mark, dtype=np.uint8)
         out[n:] = 1 - mark
         return out

@@ -76,8 +76,8 @@ class SheCountMin(SheSketchBase):
         )
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        # item-major times: apply_columnar expands to per-touch
-        # times itself (one repeat, inside the kernel)
+        # item-major times, one per item: the hardware kernel works
+        # out mark parities per item, never per touch
         idx = self.hashes.indices(keys, self.num_counters)
         return times, idx.reshape(-1), None, UpdateKind.ADD_ONE
 

@@ -99,6 +99,22 @@ class TestHashFamily:
         with pytest.raises(ValueError):
             fam.seeds[0] = 0
 
+    @pytest.mark.parametrize(
+        "m", [1, 2, 64, 1 << 13, 1 << 20, 1 << 40, 3, 97, 1000, (1 << 13) + 1]
+    )
+    def test_indices_equal_remainder(self, m):
+        """The power-of-two mask and the general remainder both give
+        exactly ``values % m``, for arrays and for a scalar key."""
+        fam = HashFamily(5, seed=11)
+        keys = np.random.default_rng(m % 1000).integers(
+            0, 1 << 63, size=2000, dtype=np.uint64
+        )
+        want = fam.values(keys) % np.uint64(m)
+        got = fam.indices(keys, m)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+        assert np.array_equal(fam.indices(int(keys[0]), m), want[0])
+
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             HashFamily(1).indices(np.asarray([1], dtype=np.uint64), 0)

@@ -230,6 +230,41 @@ def test_geometry_without_powers_of_two(frame_kind, kind, window, alpha, group_w
     _assert_same(fast, naive)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+@pytest.mark.parametrize(
+    "window,alpha,group_width,groups",
+    [
+        (40, 0.3, 3, 7),     # Tcycle 52, G 7
+        (10, 0.3, 1, 50),    # Tcycle 13 < G 50: several groups per tick
+        (1 << 14, 1.0, 64, 128),  # SHE-CM's defaults: Tcycle 2**15, G 128
+        (977, 0.37, 8, 33),  # Tcycle 1338, G 33
+    ],
+)
+def test_touch_parity_equals_current_marks(k, window, alpha, group_width, groups):
+    """The kernel's parity, per item (k > 1) or per touch (k == 1),
+    is the current mark of every touch's group at its time, on pieces
+    far from t = 0 that straddle a cycle boundary."""
+    rng = np.random.default_rng(k * 1000 + groups)
+    cfg = SheConfig(window=window, alpha=alpha, group_width=group_width)
+    tc = cfg.t_cycle
+    frame = make_frame("hardware", cfg, group_width * groups,
+                       dtype=np.int64, empty_value=0, cell_bits=8)
+    for base in rng.integers(0, 1 << 40, size=6):
+        # a piece spans < Tcycle; start it anywhere in the cycle before
+        # a boundary so most pieces straddle two values of t // Tcycle
+        lo = (int(base) // tc + 1) * tc - int(rng.integers(0, tc))
+        times = np.sort(rng.integers(lo, lo + tc, size=200)).astype(np.int64)
+        gids = rng.integers(0, groups, size=times.size * k).astype(np.int64)
+        got = batch._touch_parity(frame, times, gids)
+        touch_times = np.repeat(times, k)
+        want = [frame._current_marks(gids[i:i + 1], int(t))[0]
+                for i, t in enumerate(touch_times)]
+        assert got.dtype == np.uint8
+        assert got.tolist() == want
+        textbook = ((touch_times + frame.offsets[gids]) // tc) % 2
+        assert got.tolist() == textbook.tolist()
+
+
 @pytest.mark.parametrize("branch", ["no-flip", "single-flip", "general"])
 def test_add_one_wraps_on_narrow_cells(branch):
     """uint8 counters wrap modulo 256 exactly like the naive count."""

@@ -86,7 +86,15 @@ def test_software_batch_equals_sweep(seq, kind):
 @st.composite
 def item_major_sequences(draw):
     cfg, m, times, cells, values = draw(touch_sequences())
-    k = draw(st.integers(1, 4))
+    # k >= 2 is the kernel's per-item parity path (k == 1 is per touch)
+    k = draw(st.integers(2, 8))
+    # far from t = 0, marks start mid-history; centring the batch on a
+    # cycle boundary makes pieces straddle two values of t // Tcycle
+    tc = cfg.t_cycle
+    base = draw(st.integers(0, 1 << 40))
+    if draw(st.booleans()):
+        pivot = draw(st.sampled_from(times))
+        base = (base // tc + 201) * tc - pivot + draw(st.integers(0, 1))
     extra = draw(st.lists(
         st.integers(0, m - 1), min_size=len(cells) * (k - 1),
         max_size=len(cells) * (k - 1),
@@ -95,17 +103,21 @@ def item_major_sequences(draw):
     cells = [c for i, c0 in enumerate(cells)
              for c in [c0] + extra[i * (k - 1):(i + 1) * (k - 1)]]
     values = [v for v in values for _ in range(k)]
-    return cfg, m, k, times, cells, values
+    return cfg, m, k, base, times, cells, values
 
 
 @given(item_major_sequences(), KINDS, st.sampled_from(["hardware", "software"]))
 @settings(max_examples=120, deadline=None)
 def test_item_major_batch_equals_reference(seq, kind, frame_kind):
-    cfg, m, k, times, cells, values = seq
+    cfg, m, k, base, times, cells, values = seq
     empty = 999 if kind is UpdateKind.MIN_HASH else 0
     fast = make_frame(frame_kind, cfg, m, dtype=np.int64, empty_value=empty, cell_bits=8)
     naive_cls = NaiveHardwareFrame if frame_kind == "hardware" else NaiveSoftwareFrame
     naive = naive_cls(cfg, m, empty_value=empty)
+    if frame_kind == "hardware":
+        # the reference sweep crosses every boundary since t = 0 one at
+        # a time, so only the hardware frame starts far from it
+        times = [base + t for t in times]
 
     apply_columnar(
         fast,
