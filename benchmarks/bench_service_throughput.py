@@ -38,6 +38,7 @@ benchmark (``benchmarks/ledger``).
 """
 
 import json
+import os
 import sys
 import tempfile
 import time
@@ -105,6 +106,16 @@ def _best_engine_mips(*args, k: int = BEST_OF, **kwargs) -> float:
     return max(_engine_mips(*args, **kwargs) for _ in range(k))
 
 
+def _nproc() -> int:
+    """CPUs this process may run on (what ``nproc`` prints): the process
+    rows can overlap the ingesting process and its workers only when
+    there are several."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _write_bench_json(rows, obs_mode, extra=None, n_items=N_ITEMS) -> None:
     """Persist the machine-readable perf trajectory at the repo root.
 
@@ -121,6 +132,7 @@ def _write_bench_json(rows, obs_mode, extra=None, n_items=N_ITEMS) -> None:
         "window": WINDOW,
         "size": SIZE,
         "best_of": BEST_OF,
+        "nproc": _nproc(),
         "rows": [
             {
                 "configuration": name,
@@ -179,7 +191,8 @@ def test_service_throughput(
 
     header = (
         f"{'configuration':<24} {'shards':>6} {'Mips':>8}"
-        f"   (obs {obs_mode}, wal {wal_mode}, best of {BEST_OF})"
+        f"   (obs {obs_mode}, wal {wal_mode}, best of {BEST_OF},"
+        f" nproc {_nproc()})"
     )
     lines = [header, "-" * len(header)]
     for name, shards, mips in rows:

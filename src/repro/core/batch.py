@@ -121,17 +121,26 @@ def _tcycle_pieces(times: np.ndarray, t_cycle: int):
     """Yield item ranges ``(lo, hi)`` cutting non-decreasing ``times``
     into consecutive pieces that each span less than ``t_cycle``.
 
-    Greedy from each piece's first item, so no piece is empty and a gap
-    of many ``Tcycle``s costs one cut; a batch already that narrow is
-    one piece, found without a search.
+    Greedy from each piece's first item while the remainder spans at
+    least ``2·t_cycle``, so no piece is empty and a gap of many
+    ``Tcycle``s costs one cut.  A remainder spanning ``[t_cycle,
+    2·t_cycle)`` is cut at its middle time instead: both halves span
+    less than ``t_cycle``, where a greedy cut would leave a tiny tail
+    piece that still pays the kernel's per-piece passes.  A batch
+    already narrower than ``t_cycle`` is one piece, found without a
+    search.
     """
     n = times.size
-    if int(times[-1]) - int(times[0]) < t_cycle:
-        yield 0, n
-        return
+    last = int(times[-1])
     lo = 0
     while lo < n:
-        hi = int(np.searchsorted(times, times[lo] + t_cycle))
+        first = int(times[lo])
+        rest = last - first
+        if rest < t_cycle:
+            yield lo, n
+            return
+        cut = first + (t_cycle if rest >= 2 * t_cycle else (rest + 2) // 2)
+        hi = int(np.searchsorted(times, cut))
         yield lo, hi
         lo = hi
 

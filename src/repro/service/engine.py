@@ -20,6 +20,14 @@ reading each key's owning shard for point queries:
   queries and checkpoints drain everything first, so they always see
   the full stream.
 
+* **Pipelined flushes.** A round sent by ingest's own trigger stays in
+  flight: ingest returns once the batches are sent, so the caller
+  stamps and buffers the next arrivals while the workers apply.  The
+  round is *settled* (acknowledgements collected, failures handled)
+  before the next round is sent and before anything else reaches the
+  executor, so at most one round is ever in flight.  Its items count as
+  buffered until then, and its errors surface at that next call.
+
 * **Admission control.** Buffers are bounded when
   :class:`EngineConfig` sets budgets (``max_buffered_items`` /
   ``max_buffered_total`` / ``down_retention_items``): ingest *admits
@@ -431,6 +439,18 @@ class _ShardBuffer:
         return None
 
 
+@dataclass
+class _InflightRound:
+    """A flush round sent to the executor and not yet settled: what
+    ``_settle`` needs to account for it, or to requeue it on failure."""
+
+    staged: list  # ((shard, side), keys, times) per batch, send order
+    n_items: int
+    started: float  # engine clock at drain
+    rpc_start: float | None  # perf_counter at send, when stage-timed
+    root: Any  # the open engine.flush span
+
+
 class StreamEngine:
     """Sharded, buffered ingestion and query serving over SHE sketches.
 
@@ -517,6 +537,8 @@ class StreamEngine:
             [0, 0] if self._two_stream else [0]
         )
         self._buffers: dict[tuple[int, int], _ShardBuffer] = {}
+        # the one flush round sent but not yet settled (see _settle)
+        self._inflight: _InflightRound | None = None
         self._last_drain = clock()
         self._closed = False
         self._supervisor = None  # attached by Supervisor.__init__
@@ -808,9 +830,8 @@ class StreamEngine:
             over, over_total = self._over_budget(counts)
             if not over and not over_total:
                 return None
-            flushable = self._flushable_keys()
-            if flushable:
-                self._flush_buffers(flushable, strict=False)
+            if self._flushable_keys() or self._inflight is not None:
+                self._flush_buffers(strict=False)
                 over, over_total = self._over_budget(counts)
                 if not over and not over_total:
                     return None
@@ -883,9 +904,8 @@ class StreamEngine:
         )
         if not over and not over_total:
             return
-        flushable = self._flushable_keys()
-        if flushable:
-            self._flush_buffers(flushable, strict=False)
+        if self._flushable_keys() or self._inflight is not None:
+            self._flush_buffers(strict=False)
         depths = self.queue_depths()
         for s in range(cfg.num_shards):
             cap = self._shard_cap(s)
@@ -997,9 +1017,9 @@ class StreamEngine:
         ]
         interval = self.config.flush_interval_s
         if interval is not None and self._clock() - self._last_drain >= interval:
-            self._flush_buffers(self._flushable_keys())
+            self._flush_buffers(pipelined=True)
         elif full:
-            self._flush_buffers(full)
+            self._flush_buffers(full, pipelined=True)
 
     def _flushable_keys(self) -> list[tuple[int, int]]:
         """Non-empty buffers whose shard has a live worker (down
@@ -1017,7 +1037,7 @@ class StreamEngine:
         next flush delivers them in order.
         """
         self._check_open()
-        self._flush_buffers(self._flushable_keys())
+        self._flush_buffers()
 
     def tick(self) -> None:
         """Run the time-based flush trigger without new arrivals.
@@ -1031,9 +1051,10 @@ class StreamEngine:
         """
         if self._closed:
             return
+        self._settle(strict=False)
         interval = self.config.flush_interval_s
         if interval is not None and self._clock() - self._last_drain >= interval:
-            self._flush_buffers(self._flushable_keys(), strict=False)
+            self._flush_buffers(strict=False)
 
     # -- failure plumbing ----------------------------------------------------
 
@@ -1083,7 +1104,18 @@ class StreamEngine:
             raise err
         return False
 
-    def _flush_buffers(self, buffer_keys, *, strict: bool = True) -> None:
+    def _flush_buffers(
+        self, buffer_keys=None, *, strict: bool = True, pipelined: bool = False
+    ) -> None:
+        """Send one round draining ``buffer_keys`` (default: every
+        flushable buffer, listed after the round in flight settles).
+
+        The round is settled at once unless ``pipelined``, which leaves
+        it in flight for the next call that reaches the executor.
+        """
+        self._settle(strict)
+        if buffer_keys is None:
+            buffer_keys = self._flushable_keys()
         if not buffer_keys:
             self._last_drain = self._clock()
             return
@@ -1096,30 +1128,40 @@ class StreamEngine:
             n_items += int(keys.size)
             staged.append(((s, side), keys, times))
             batches.append((s, keys, times, side if self._two_stream else None))
+        # root of the flush chain: the trace context crosses the executor
+        # RPC boundary and the worker's apply span rides back on the ack
+        # (see repro.obs.tracing); the span stays open until the settle
+        root = self.obs.tracer.span(
+            "engine.flush", items=n_items, batches=len(batches)
+        ).__enter__()
+        self._inflight = _InflightRound(
+            staged, n_items, started,
+            time.perf_counter() if self._stages.enabled else None, root,
+        )
+        self._exec.send_many(batches, trace=root.context)
+        self._last_drain = self._clock()
+        if not pipelined:
+            self._settle(strict)
+
+    def _settle(self, strict: bool = True) -> None:
+        """Collect the round in flight and account for it; no-op if none.
+
+        Success counts the round flushed.  On failure an attached
+        supervisor rebuilds the implicated workers; otherwise their
+        batches return to the front of their buffers (per-shard time
+        order holds: everything buffered since is newer), live shards
+        that lost their worker are marked down, and the error raises
+        unless ``strict`` is off (a worker-reported
+        :class:`ShardFailedError` always raises).
+        """
+        rnd = self._inflight
+        if rnd is None:
+            return
+        self._inflight = None
         try:
-            tracer = self.obs.tracer
-            stages = self._stages
-            rpc_start = time.perf_counter() if stages.enabled else None
-            if tracer.enabled:
-                # root of the flush chain: the trace context crosses the
-                # executor RPC boundary and the worker's apply span rides
-                # back on the ack (see repro.obs.tracing)
-                with tracer.span(
-                    "engine.flush", items=n_items, batches=len(batches)
-                ) as root:
-                    self._exec.flush_many(batches, trace=root.context)
-                flush_trace = root.trace_id
-            else:
-                self._exec.flush_many(batches)
-                flush_trace = None
-            if rpc_start is not None:
-                # the full executor round-trip: send + apply + ack wait
-                stages.observe(
-                    "flush_rpc", time.perf_counter() - rpc_start, flush_trace
-                )
-            for (s, _side), _keys, _times in staged:
-                self._m_shard_flushes[s].inc()
+            self._exec.settle()
         except ShardError as err:
+            rnd.root.__exit__(type(err), err, None)
             self._note_failure(err)
             recovered = (
                 self._supervisor is not None
@@ -1128,35 +1170,44 @@ class StreamEngine:
             )
             if not recovered:
                 failed = self._shards_of_error(err)
-                for s in failed & {s for (s, _side), _, _ in staged}:
+                sent = {s for (s, _side), _, _ in rnd.staged}
+                for s in failed & sent:
                     self._m_shard_failures[s].inc()
                 if not isinstance(err, ShardFailedError):
-                    self._down.update(
-                        failed & {s for (s, _side), _, _ in staged}
-                    )
+                    self._down.update(failed & sent)
                 # retention: unacknowledged batches return to their
-                # buffers (front, preserving per-shard time order); a
-                # later worker replay stops at each buffer's front, so
-                # they still apply exactly once
-                for (s, side), keys, times in reversed(staged):
+                # buffers; a later worker replay stops at each buffer's
+                # front, so they still apply exactly once
+                for (s, side), keys, times in reversed(rnd.staged):
                     if s in failed:
                         self._buffers[s, side].requeue(keys, times)
-                applied = n_items - sum(
+                applied = rnd.n_items - sum(
                     int(keys.size)
-                    for (s, _side), keys, _times in staged
+                    for (s, _side), keys, _times in rnd.staged
                     if s in failed
                 )
                 self._last_drain = self._clock()
                 if applied:
-                    self.stats.record_flush(applied, self._last_drain - started)
+                    self.stats.record_flush(applied, self._last_drain - rnd.started)
                 if strict or isinstance(err, ShardFailedError):
                     raise
                 return
             # recovered: the failed worker was rebuilt from checkpoint
-            # and the log replayed up to its buffers' fronts — which
-            # includes this round's drained batches
-        self._last_drain = self._clock()
-        self.stats.record_flush(n_items, self._last_drain - started)
+            # and the log replayed up to its buffers' fronts, which lie
+            # past this round's drained batches
+        else:
+            rnd.root.__exit__(None, None, None)
+            if rnd.rpc_start is not None:
+                # send -> acknowledgements collected; a pipelined round
+                # includes the caller's work done while it was in flight
+                self._stages.observe(
+                    "flush_rpc",
+                    time.perf_counter() - rnd.rpc_start,
+                    rnd.root.trace_id,
+                )
+            for (s, _side), _keys, _times in rnd.staged:
+                self._m_shard_flushes[s].inc()
+        self.stats.record_flush(rnd.n_items, self._clock() - rnd.started)
 
     def _replay(
         self, start, clock, shards, cutoffs=None
@@ -1172,6 +1223,7 @@ class StreamEngine:
         since the base checkpoint.  Returns ``(clock, items, batches)``:
         the clock after the last record, and what was sent.
         """
+        self._settle()
         cfg = self.config
         clock = list(clock)
         cutoffs = cutoffs or {}
@@ -1203,10 +1255,14 @@ class StreamEngine:
         return clock, items, batches
 
     def queue_depths(self) -> list[int]:
-        """Buffered items per shard (summed over sides)."""
+        """Buffered items per shard (summed over sides), counting the
+        round in flight: its items are not flushed until it settles."""
         depths = [0] * self.config.num_shards
         for (s, _side), buf in self._buffers.items():
             depths[s] += buf.count
+        if self._inflight is not None:
+            for (s, _side), keys, _times in self._inflight.staged:
+                depths[s] += int(keys.size)
         return depths
 
     # -- querying ------------------------------------------------------------
@@ -1219,6 +1275,7 @@ class StreamEngine:
         failures down and keeps going so degraded queries can answer
         from the survivors.
         """
+        self._settle(strict)
         if strict and self._down:
             raise ShardUnrecoverableError(
                 f"shards {sorted(self._down)} are down; recover them "
@@ -1230,7 +1287,7 @@ class StreamEngine:
             # remembered for the query_fanin stage exemplar: the read
             # that follows this sync belongs to the same logical trace
             self._last_sync_trace = sync_span.trace_id
-            self._flush_buffers(self._flushable_keys(), strict=strict)
+            self._flush_buffers(strict=strict)
             for s in range(self.config.num_shards):
                 if s in self._down:
                     continue
@@ -1464,7 +1521,20 @@ class StreamEngine:
     @property
     def memory_bytes(self) -> int:
         """Aggregate sketch memory across shards (buffers excluded)."""
-        return sum(s.memory_bytes for s in self._exec.peeks())
+        return sum(s.memory_bytes for s in self._probe_views())
+
+    def _probe_views(self) -> list:
+        """Every shard's read-side view, for memory and probe reads.
+
+        A process executor's views are snapshot RPCs on the worker
+        pipes, so the round in flight settles first.  A serial
+        executor's views are its shards in place, read without
+        settling: the exporter probes serial engines from its own
+        thread, which must not change engine state.
+        """
+        if not isinstance(self._exec, SerialExecutor):
+            self._settle()
+        return self._exec.peeks()
 
     @property
     def down_shards(self) -> tuple[int, ...]:
@@ -1482,7 +1552,7 @@ class StreamEngine:
         over RPC, so call this from the engine's own thread only.
         """
         probed: list[dict | None] = [None] * self.config.num_shards
-        views = self._exec.peeks()
+        views = self._probe_views()
         for s, sketch in enumerate(views):
             if s in self._down:
                 continue
@@ -1640,7 +1710,7 @@ class StreamEngine:
         if self._closed:
             return
         try:
-            self._flush_buffers(self._flushable_keys(), strict=False)
+            self._flush_buffers(strict=False)
         finally:
             self._closed = True
             try:

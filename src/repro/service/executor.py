@@ -2,9 +2,9 @@
 
 The engine is a router; the executor owns the shard state and applies
 batches to it.  Two implementations share one protocol
-(``flush`` / ``flush_many`` / ``advance`` / ``snapshot`` /
-``checkpoint`` / ``ping`` / ``close`` plus the worker topology helpers
-``worker_of`` / ``shards_of`` / ``is_worker_alive`` /
+(``flush`` / ``send_many`` / ``settle`` / ``flush_many`` / ``advance`` /
+``snapshot`` / ``checkpoint`` / ``ping`` / ``close`` plus the worker
+topology helpers ``worker_of`` / ``shards_of`` / ``is_worker_alive`` /
 ``restart_worker``, and ``set_obs`` to attach an observability bundle):
 
 * :class:`SerialExecutor` keeps the sketches in-process — zero overhead
@@ -16,6 +16,16 @@ batches to it.  Two implementations share one protocol
 
 Both are deterministic: the same sequence of flushes produces
 bit-identical shard state, which the equivalence tests assert.
+
+A flush round has two phases.  ``send_many`` ships its batches and
+returns; ``settle`` collects the acknowledgements and raises the
+round's typed error, if any.  ``flush_many`` is the two back to back.
+Between them the caller may do other work (the engine keeps ingesting
+while a process worker applies), but no other verb may run: a
+:class:`ProcessExecutor` refuses RPCs while a round is in flight,
+since its acknowledgements still sit in the worker pipes.
+:class:`SerialExecutor` applies at ``send_many`` and keeps any error
+for ``settle``, so both raise at the same call.
 
 Failure semantics (see :mod:`repro.service.errors`): every
 ``ProcessExecutor`` RPC carries a deadline enforced with
@@ -53,6 +63,7 @@ from repro.obs.tracing import span_record
 from repro.persist import save_sketch
 from repro.service.errors import (
     ShardDeadError,
+    ShardError,
     ShardFailedError,
     ShardTimeoutError,
 )
@@ -87,6 +98,24 @@ def _apply_advance(sketch, t: int, side: int | None) -> None:
         sketch.advance_to(t)
 
 
+def _round_error(errors: list, failed_shards) -> ShardError:
+    """One typed error for a failed round: the first error's type and
+    message, naming every not-applied shard and implicated worker."""
+    first = errors[0]
+    extra = (
+        {"timeout_s": first.timeout_s}
+        if isinstance(first, ShardTimeoutError) else {}
+    )
+    return type(first)(
+        str(first),
+        **extra,
+        shard_ids=tuple(dict.fromkeys(failed_shards)),
+        worker_ids=tuple(
+            dict.fromkeys(w for e in errors for w in e.worker_ids)
+        ),
+    )
+
+
 class SerialExecutor:
     """All shards live in the calling process; commands apply inline.
 
@@ -97,6 +126,7 @@ class SerialExecutor:
 
     def __init__(self, shards, *, obs=None):
         self._shards = list(shards)
+        self._errors: list[ShardFailedError] = []  # kept for settle()
         self.set_obs(obs)
 
     def set_obs(self, obs) -> None:
@@ -159,19 +189,34 @@ class SerialExecutor:
             "apply", elapsed, trace[0] if trace is not None else None
         )
 
-    def flush_many(self, batches, trace: tuple[str, str] | None = None) -> None:
-        """Apply batches in order; a failure names the not-applied shards."""
+    def send_many(self, batches, trace: tuple[str, str] | None = None) -> None:
+        """Apply batches in order, at once; a failure stops the call and
+        is kept for :meth:`settle`, naming the not-applied shards."""
         batches = list(batches)
         for i, (shard_id, keys, times, side) in enumerate(batches):
             try:
                 self.flush(shard_id, keys, times, side, trace)
             except Exception as exc:
-                not_applied = tuple(b[0] for b in batches[i:])
-                raise ShardFailedError(
+                err = ShardFailedError(
                     f"shard worker failed:\n{traceback.format_exc()}",
-                    shard_ids=not_applied,
+                    shard_ids=tuple(b[0] for b in batches[i:]),
                     worker_ids=(0,),
-                ) from exc
+                )
+                err.__cause__ = exc
+                self._errors.append(err)
+                return
+
+    def settle(self) -> None:
+        """Raise the error kept by the round's ``send_many`` calls."""
+        errors, self._errors = self._errors, []
+        if errors:
+            failed = [s for e in errors for s in e.shard_ids]
+            raise _round_error(errors, failed) from errors[0]
+
+    def flush_many(self, batches, trace: tuple[str, str] | None = None) -> None:
+        """Apply batches in order; a failure names the not-applied shards."""
+        self.send_many(batches, trace)
+        self.settle()
 
     def advance(self, shard_id: int, t: int, side: int | None = None) -> None:
         _apply_advance(self._shards[shard_id], t, side)
@@ -213,6 +258,19 @@ class SerialExecutor:
 
 
 # -- multiprocessing ---------------------------------------------------------
+
+
+class _Round:
+    """A :class:`ProcessExecutor` flush round between send and settle."""
+
+    __slots__ = ("started", "pending", "dead", "errors", "failed")
+
+    def __init__(self) -> None:
+        self.started = time.perf_counter()
+        self.pending: list[tuple[int, int]] = []  # (worker, shard), send order
+        self.dead: set[int] = set()  # workers whose pipe failed this round
+        self.errors: list[ShardError] = []
+        self.failed: list[int] = []  # shards not known to have applied
 
 
 def _worker_main(conn, shards: dict) -> None:
@@ -274,9 +332,10 @@ class ProcessExecutor:
     """Shards partitioned over a pool of long-lived worker processes.
 
     Shard ``s`` is owned by worker ``s % num_workers`` forever; a flush
-    for it is a message to that worker.  ``flush_many`` fans a round of
-    batches out to all workers before collecting acknowledgements, so
-    independent shards really do apply in parallel.
+    for it is a message to that worker.  ``send_many`` fans a round of
+    batches out to all workers and ``settle`` collects the
+    acknowledgements, so independent shards really do apply in
+    parallel, and the caller's own work between the two overlaps them.
 
     Args:
         shards: the sketch per shard (worker ownership derives from
@@ -308,6 +367,7 @@ class ProcessExecutor:
         # workers whose pipe can no longer be trusted (a missed deadline
         # may leave a stale ack in flight); only a restart clears this
         self._poisoned: set[int] = set()
+        self._round: _Round | None = None  # sent, not yet settled
         self.set_obs(None)
         for w in range(self.num_workers):
             self._spawn(w, {s: shards[s] for s in self.shards_of(w)})
@@ -388,6 +448,7 @@ class ProcessExecutor:
         fresh sketch objects (typically checkpoint loads — the old
         process's in-memory state is unrecoverable by definition).
         """
+        self._require_settled()
         expected = set(self.shards_of(worker_id))
         if set(shards) != expected:
             raise ValueError(
@@ -399,8 +460,13 @@ class ProcessExecutor:
 
     # -- RPC plumbing --------------------------------------------------------
 
-    def _conn_of(self, shard_id: int):
-        return self._conns[self.worker_of(shard_id)]
+    def _require_settled(self) -> None:
+        """A round's acknowledgements still sit in the worker pipes
+        until ``settle``; any other RPC would read one as its own."""
+        if self._round is not None:
+            raise RuntimeError(
+                "a flush round is in flight; settle() it before other RPCs"
+            )
 
     def _check_trusted(self, worker_id: int, shard_ids) -> None:
         if worker_id in self._poisoned:
@@ -461,6 +527,7 @@ class ProcessExecutor:
         return payload
 
     def _call(self, shard_id: int, *message, timeout=_UNSET):
+        self._require_settled()
         w = self.worker_of(shard_id)
         started = time.perf_counter()
         self._send(w, message, shard_ids=(shard_id,))
@@ -482,12 +549,7 @@ class ProcessExecutor:
         side: int | None = None,
         trace: tuple[str, str] | None = None,
     ) -> None:
-        payload = self._call(
-            shard_id, "flush", shard_id, np.asarray(keys), times, side, trace
-        )
-        if payload is not None:
-            self.obs.tracer.ingest((payload,))
-            self._observe_apply(payload)
+        self.flush_many([(shard_id, keys, times, side)], trace)
 
     def _observe_apply(self, payload: dict) -> None:
         """Feed the worker's timed apply into the stage recorder.
@@ -503,46 +565,56 @@ class ProcessExecutor:
                 "apply", duration_ms / 1e3, payload.get("trace_id")
             )
 
-    def flush_many(self, batches, trace: tuple[str, str] | None = None) -> None:
-        """Apply ``(shard_id, keys, times, side)`` batches in parallel.
+    def send_many(self, batches, trace: tuple[str, str] | None = None) -> None:
+        """Send ``(shard_id, keys, times, side)`` batches without waiting.
 
-        Sends every batch before awaiting any acknowledgement; pipes are
-        FIFO per worker, so per-shard ordering is preserved while
-        distinct workers overlap their work.  Every worker is attempted
-        even if another has already failed; on error, the raised
-        :class:`ShardError` lists exactly the shards whose batches are
-        not known to have applied (and once a worker misses a deadline
-        or dies, all its later batches in the round count as unapplied
-        — the pipe can no longer be trusted).
+        Opens a round, or extends the one in flight; the batches apply
+        in the workers while the caller goes on, and :meth:`settle`
+        collects their acknowledgements.  Pipes are FIFO per worker, so
+        per-shard order is kept while distinct workers overlap.  A send
+        to a dead worker is recorded for ``settle``, never raised here.
         """
-        batches = list(batches)
-        started = time.perf_counter()
-        # send phase: skip workers whose pipe already failed this round
-        dead_workers: set[int] = set()
-        errors: list[ShardFailedError | ShardDeadError | ShardTimeoutError] = []
-        failed_shards: list[int] = []
-        # (worker_id, shard_id) in send order
-        pending: list[tuple[int, int]] = []
         for shard_id, keys, times, side in batches:
-            w = self.worker_of(shard_id)
-            if w in dead_workers:
-                failed_shards.append(shard_id)
-                continue
-            message = ("flush", shard_id, np.asarray(keys), times, side, trace)
-            try:
-                self._send(w, message, shard_ids=(shard_id,))
-            except ShardDeadError as exc:
-                dead_workers.add(w)
-                errors.append(exc)
-                failed_shards.append(shard_id)
-                continue
-            pending.append((w, shard_id))
-        # ack phase: one recv per surviving send, FIFO per worker
-        for w, shard_id in pending:
-            if w in dead_workers:
-                # the worker's pipe is no longer trusted: its batch
-                # counts as unapplied
-                failed_shards.append(shard_id)
+            self._send_in_round(
+                shard_id,
+                ("flush", shard_id, np.asarray(keys), times, side, trace),
+            )
+
+    def _send_in_round(self, shard_id: int, message) -> None:
+        """Send one message as part of the round in flight; its
+        acknowledgement is collected by :meth:`settle`."""
+        rnd = self._round
+        if rnd is None:
+            rnd = self._round = _Round()
+        w = self.worker_of(shard_id)
+        if w in rnd.dead:
+            # a worker whose pipe failed this round gets no more sends
+            rnd.failed.append(shard_id)
+            return
+        try:
+            self._send(w, message, shard_ids=(shard_id,))
+        except ShardDeadError as exc:
+            rnd.dead.add(w)
+            rnd.errors.append(exc)
+            rnd.failed.append(shard_id)
+            return
+        rnd.pending.append((w, shard_id))
+
+    def settle(self) -> None:
+        """Collect the round's acknowledgements; no-op with none in flight.
+
+        Every worker is drained even if another has already failed; on
+        error, the raised :class:`ShardError` lists exactly the shards
+        whose batches are not known to have applied (and once a worker
+        misses a deadline or dies, all its later batches in the round
+        count as unapplied — the pipe can no longer be trusted).
+        """
+        rnd, self._round = self._round, None
+        if rnd is None:
+            return
+        for w, shard_id in rnd.pending:
+            if w in rnd.dead:
+                rnd.failed.append(shard_id)
                 continue
             try:
                 payload = self._recv(w, op="flush", shard_ids=(shard_id,))
@@ -550,30 +622,24 @@ class ProcessExecutor:
                     self.obs.tracer.ingest((payload,))
                     self._observe_apply(payload)
             except (ShardDeadError, ShardTimeoutError) as exc:
-                dead_workers.add(w)
-                errors.append(exc)
-                failed_shards.append(shard_id)
+                rnd.dead.add(w)
+                rnd.errors.append(exc)
+                rnd.failed.append(shard_id)
             except ShardFailedError as exc:
                 # worker is alive and in protocol sync; only this batch failed
-                errors.append(exc)
-                failed_shards.append(shard_id)
-        if errors:
-            first = errors[0]
-            raise type(first)(
-                str(first),
-                **(
-                    {"timeout_s": first.timeout_s}
-                    if isinstance(first, ShardTimeoutError)
-                    else {}
-                ),
-                shard_ids=tuple(dict.fromkeys(failed_shards)),
-                worker_ids=tuple(
-                    dict.fromkeys(w for e in errors for w in e.worker_ids)
-                ),
-            ) from first
+                rnd.errors.append(exc)
+                rnd.failed.append(shard_id)
+        if rnd.errors:
+            raise _round_error(rnd.errors, rnd.failed) from rnd.errors[0]
         self._h_rpc.labels("flush_many", "all").observe(
-            time.perf_counter() - started
+            time.perf_counter() - rnd.started
         )
+
+    def flush_many(self, batches, trace: tuple[str, str] | None = None) -> None:
+        """Apply batches in parallel: :meth:`send_many` then :meth:`settle`."""
+        self._require_settled()
+        self.send_many(batches, trace)
+        self.settle()
 
     def advance(self, shard_id: int, t: int, side: int | None = None) -> None:
         self._call(shard_id, "advance", shard_id, t, side)
@@ -589,6 +655,7 @@ class ProcessExecutor:
         fails, so surviving workers' pipes stay in protocol sync; the
         first error is re-raised afterwards.
         """
+        self._require_settled()
         if shard_ids is None:
             shard_ids = range(self._num_shards)
         sent: list[int] = []  # shard ids whose request went out
@@ -630,6 +697,7 @@ class ProcessExecutor:
 
     def ping(self, worker_id: int, timeout: float | None = None) -> bool:
         """Heartbeat one worker; raises the typed error on failure."""
+        self._require_settled()
         shard_ids = tuple(self.shards_of(worker_id))
         self._send(worker_id, ("ping",), shard_ids=shard_ids)
         self._recv(
@@ -644,6 +712,7 @@ class ProcessExecutor:
         if self._closed:
             return
         self._closed = True
+        self._round = None  # its acknowledgements die with the workers
         for w, conn in enumerate(self._conns):
             if conn is None:
                 continue

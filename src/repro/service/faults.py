@@ -61,6 +61,7 @@ from repro.service.errors import (
     ShardFailedError,
     ShardTimeoutError,
 )
+from repro.service.executor import _round_error
 
 __all__ = ["ChaosExecutor"]
 
@@ -106,6 +107,11 @@ class ChaosExecutor:
         self._drop_ack_ops = set(drop_ack_ops)
         self._corrupt_ops = set(corrupt_checkpoint_ops)
         self._dead: set[int] = set()  # simulated deaths (serial inner)
+        # the round in flight: its shards in send order, the injected
+        # failures by batch index, and the batches whose ack is dropped
+        self._round_shards: list[int] = []
+        self._round_errors: list[tuple[int, ShardError]] = []
+        self._round_drops: list[tuple[int, int, int, int]] = []
         self.ops = 0
         self.kills: list[tuple[int, int]] = []
         self.set_obs(None)
@@ -188,19 +194,23 @@ class ChaosExecutor:
         # serial inner: the deadline machinery doesn't exist in-process,
         # so a stall there has nothing to trip; treat it as a no-op.
 
-    def _maybe_slow(self, worker_id: int, shard_ids=()) -> None:
+    def _maybe_slow(self, worker_id: int, shard_ids=(), in_round=False) -> None:
         """Pay the configured latency for a slow worker before its op.
 
         Unlike :meth:`_stall`, the sleep's acknowledgement is consumed,
         keeping the worker pipe in sync — the subsequent real op then
-        completes inside its deadline, just late.
+        completes inside its deadline, just late.  Inside a flush round
+        the sleep is queued ahead of the batch and its acknowledgement
+        is collected by the round's ``settle``.
         """
         seconds = self._slow_workers.get(worker_id)
         if not seconds:
             return
         self._chaos_events.labels("slow").inc()
         send = getattr(self._inner, "_send", None)
-        if send is not None:
+        if send is not None and in_round:
+            self._inner._send_in_round(shard_ids[0], ("sleep", float(seconds)))
+        elif send is not None:
             send(worker_id, ("sleep", float(seconds)), shard_ids=shard_ids)
             self._inner._recv(
                 worker_id, op="chaos-slow", shard_ids=shard_ids
@@ -262,26 +272,69 @@ class ChaosExecutor:
             op="flush",
         )
 
-    def flush_many(self, batches, trace=None) -> None:
-        """Per-batch forwarding so each batch is its own countable op."""
-        batches = list(batches)
-        errors: list[ShardError] = []
-        failed_shards: list[int] = []
+    def send_many(self, batches, trace=None) -> None:
+        """Per-batch forwarding so each batch is its own countable op.
+
+        Each batch that passes its faults joins the inner executor's
+        round in flight, so a kill or stall can land on a worker that
+        holds unacknowledged batches; every failure is kept for
+        :meth:`settle`.
+        """
         for shard_id, keys, times, side in batches:
+            worker_id = self.worker_of(shard_id)
+            n = self._before_op(worker_id)
+            i = len(self._round_shards)
+            self._round_shards.append(shard_id)
             try:
-                self.flush(shard_id, keys, times, side, trace)
-            except ShardError as exc:
-                errors.append(exc)
-                failed_shards.append(shard_id)
+                self._guard(worker_id, shard_ids=(shard_id,))
+            except ShardDeadError as exc:
+                self._round_errors.append((i, exc))
+                continue
+            self._maybe_slow(worker_id, shard_ids=(shard_id,), in_round=True)
+            self._inner.send_many([(shard_id, keys, times, side)], trace)
+            if n in self._drop_ack_ops:
+                self._round_drops.append((i, n, shard_id, worker_id))
+
+    def settle(self) -> None:
+        """Settle the inner round, then raise every failure of this
+        round (injected or real) as one error, in batch order."""
+        shards, errors, drops = (
+            self._round_shards, self._round_errors, self._round_drops
+        )
+        self._round_shards, self._round_errors, self._round_drops = [], [], []
+        inner_failed: set[int] = set()
+        try:
+            self._inner.settle()
+        except ShardError as exc:
+            inner_failed = set(exc.shard_ids)
+            first = next(
+                (i for i, s in enumerate(shards) if s in inner_failed),
+                len(shards),
+            )
+            errors.append((first, exc))
+        for i, n, shard_id, worker_id in drops:
+            if shard_id in inner_failed:
+                continue
+            # the batch applied, but the caller must believe the ack
+            # vanished; poison a real worker pool the way a genuine
+            # lost ack would
+            self._chaos_events.labels("drop_ack").inc()
+            poisoned = getattr(self._inner, "_poisoned", None)
+            if poisoned is not None:
+                poisoned.add(worker_id)
+            errors.append((i, ShardTimeoutError(
+                f"chaos dropped the acknowledgement of flush (op {n})",
+                shard_ids=(shard_id,), worker_ids=(worker_id,),
+            )))
         if errors:
-            first = errors[0]
-            raise type(first)(
-                str(first),
-                shard_ids=tuple(dict.fromkeys(failed_shards)),
-                worker_ids=tuple(
-                    dict.fromkeys(w for e in errors for w in e.worker_ids)
-                ),
-            ) from first
+            errors.sort(key=lambda e: e[0])
+            ordered = [e for _i, e in errors]
+            failed = [s for e in ordered for s in e.shard_ids]
+            raise _round_error(ordered, failed) from ordered[0]
+
+    def flush_many(self, batches, trace=None) -> None:
+        self.send_many(batches, trace)
+        self.settle()
 
     def advance(self, shard_id: int, t: int, side: int | None = None) -> None:
         self._run(shard_id, self._inner.advance, shard_id, t, side, op="advance")

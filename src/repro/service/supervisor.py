@@ -176,6 +176,7 @@ class Supervisor:
         False once the circuit breaker opens or the shards are
         unrecoverable (they are then marked down for degraded queries).
         """
+        self.engine._settle(strict=False)
         with self.obs.tracer.span("supervisor.recover", worker=worker_id) as sp:
             ok = self._recover_worker(worker_id)
             sp.tag(outcome="recovered" if ok else "down")
@@ -255,6 +256,7 @@ class Supervisor:
         ``is_alive``/ping is put through :meth:`recover_worker`; the
         mapping then reflects whether recovery succeeded.
         """
+        self.engine._settle(strict=False)
         executor = self.engine._exec
         result: dict[int, bool] = {}
         for w in range(executor.num_workers):
@@ -277,6 +279,7 @@ class Supervisor:
 
     def recover_down(self) -> bool:
         """Retry recovery for every currently-down shard's worker."""
+        self.engine._settle(strict=False)
         executor = self.engine._exec
         workers = sorted({executor.worker_of(s) for s in self.engine._down})
         ok = True

@@ -350,8 +350,41 @@ def test_hardware_kernels_only_see_pieces_narrower_than_tcycle(monkeypatch, dens
 
     assert all(p.size and int(p[-1]) - int(p[0]) < tc for p in pieces)
     assert np.array_equal(np.concatenate(pieces), times)
-    # piece starts are >= Tcycle apart: at most 3 before the gap, 2 after
+    # greedy pieces span a full Tcycle and a remainder under two
+    # Tcycles is halved: at most 3 before the gap, 2 after
     assert 2 <= len(pieces) <= 5
+
+
+def test_batch_just_over_one_tcycle_splits_in_halves(monkeypatch):
+    """A batch spanning 1.05 Tcycle is cut at its middle time: two
+    pieces, each under Tcycle and each holding at least a third of the
+    items, not a full piece plus a tiny tail."""
+    cfg = SheConfig(window=40, alpha=0.3, group_width=4)  # Tcycle 52
+    tc = cfg.t_cycle
+    pieces = []
+    real = batch._apply_hardware
+
+    def spy(frame, times, *rest):
+        pieces.append(times.copy())
+        real(frame, times, *rest)
+
+    monkeypatch.setattr(batch, "_apply_hardware", spy)
+    n, k, m = 300, 3, 16
+    span = int(1.05 * tc)
+    times = (np.arange(n, dtype=np.int64) * span) // (n - 1) + 7 * tc + 3
+    rng = np.random.default_rng(5)
+    cells = rng.integers(0, m, size=n * k).astype(np.int64)
+    fast, naive = _frames("hardware", cfg, m, UpdateKind.ADD_ONE)
+    apply_columnar(fast, times, cells, None, UpdateKind.ADD_ONE)
+    for c, t in zip(cells, np.repeat(times, k)):
+        naive.touch(int(c), int(t), UpdateKind.ADD_ONE)
+    _assert_same(fast, naive)
+
+    assert len(pieces) == 2
+    assert np.array_equal(np.concatenate(pieces), times)
+    for p in pieces:
+        assert int(p[-1]) - int(p[0]) < tc
+        assert p.size >= n // 3
 
 
 def test_empty_batch_is_noop():

@@ -129,25 +129,41 @@ class TestFig8Ages:
         assert rates[2] < 0.2
 
 
+def _best_mips(builders: dict, trace, passes: int = 5) -> dict:
+    """Best insert rate (Mitems/s) of each sketch over ``passes`` timed
+    passes after one warm-up pass.  The sketches take turns within a
+    pass, each on a fresh instance, so host noise hits both sides of a
+    ratio alike and one slow pass cannot decide it."""
+    from repro.metrics import measure_throughput
+
+    best = dict.fromkeys(builders, 0.0)
+    for i in range(passes + 1):
+        for name, build in builders.items():
+            mips = measure_throughput(build(), trace).mips
+            if i:  # pass 0 is the warm-up
+                best[name] = max(best[name], mips)
+    return best
+
+
 class TestThroughputOrdering:
     """Fig. 10/11: SHE stays near the fixed-window original's speed."""
 
     def test_she_bm_within_5x_of_ideal(self):
         from repro.core import SheBitmap
         from repro.fixed import Bitmap
-        from repro.metrics import measure_throughput
 
-        trace = _trace(11)
-        she = measure_throughput(SheBitmap(SCALE.window, 1 << 13), trace)
-        ideal = measure_throughput(Bitmap(1 << 13), trace)
-        assert she.mips > ideal.mips / 5
+        best = _best_mips({
+            "she": lambda: SheBitmap(SCALE.window, 1 << 13),
+            "ideal": lambda: Bitmap(1 << 13),
+        }, _trace(11))
+        assert best["she"] > best["ideal"] / 5
 
     def test_she_hll_faster_than_shll(self):
         from repro.baselines import SlidingHyperLogLog
         from repro.core import SheHyperLogLog
-        from repro.metrics import measure_throughput
 
-        trace = _trace(12)
-        she = measure_throughput(SheHyperLogLog(SCALE.window, 1024), trace)
-        shll = measure_throughput(SlidingHyperLogLog(SCALE.window, 1024), trace)
-        assert she.mips > shll.mips
+        best = _best_mips({
+            "she": lambda: SheHyperLogLog(SCALE.window, 1024),
+            "shll": lambda: SlidingHyperLogLog(SCALE.window, 1024),
+        }, _trace(12))
+        assert best["she"] > best["shll"]

@@ -278,6 +278,10 @@ class TestBufferingAndTriggers:
         sids = shard_ids(keys, 2, cfg.shard_seed)
         one_shard = keys[sids == 0][:60]
         eng.ingest(one_shard)
+        # the triggered round stays in flight, counted as buffered,
+        # until the next call that reaches the executor settles it
+        assert eng.queue_depths() == [60, 0]
+        eng.tick()
         assert eng.stats.items_flushed == 60
         assert eng.queue_depths() == [0, 0]
 
@@ -300,6 +304,7 @@ class TestBufferingAndTriggers:
         assert eng.stats.items_flushed == 0
         fake[0] = 6.0
         eng.ingest(np.arange(5, dtype=np.uint64))
+        eng.tick()  # settles the round the interval trigger sent
         assert eng.stats.items_flushed == 105
 
     def test_queries_see_buffered_items(self):

@@ -207,6 +207,7 @@ class TestDeterminism:
                 with pytest.raises(ShardDeadError) as exc_info:
                     for lo in range(0, stream.size, 1000):
                         eng.ingest(stream[lo:lo + 1000])
+                    eng.flush()  # a failed triggered round raises here
                 return chaos["x"].kills, exc_info.value.shard_ids
             finally:
                 eng.close()
