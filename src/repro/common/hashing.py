@@ -150,19 +150,26 @@ class HashFamily:
         return v
 
     def values(self, keys: np.ndarray | int) -> np.ndarray:
-        """Raw 64-bit hashes, shape ``(n, k)`` (or ``(k,)`` for a scalar)."""
+        """Raw 64-bit hashes, shape ``(n, k)`` (or ``(k,)`` for a scalar).
+
+        The result is the transposed view of a contiguous ``(k, n)``
+        block, so ``values(keys).T`` is that block, one row per hash
+        function: mixing in this layout runs NumPy's inner loop over the
+        long key axis instead of the short ``k`` axis.
+        """
         scalar = np.isscalar(keys) or isinstance(keys, (int, np.integer))
         arr = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
-        z = arr[:, None] ^ self._seeds[None, :]
+        z = self._seeds[:, None] ^ arr
         splitmix64_inplace(z, np.empty_like(z))
-        return z[0] if scalar else z
+        return z[:, 0] if scalar else z.T
 
     def value(self, key: int, i: int) -> int:
         """Scalar hash of ``key`` under the ``i``-th function."""
         return int(splitmix64(int(key) ^ int(self._seeds[i])))
 
     def indices(self, keys: np.ndarray | int, m: int) -> np.ndarray:
-        """Cell indices in ``[0, m)``, shape ``(n, k)`` (``(k,)`` scalar)."""
+        """Cell indices in ``[0, m)``, shape ``(n, k)`` (``(k,)`` scalar),
+        laid out as :meth:`values`: ``.T`` is the contiguous block."""
         if m < 1:
             raise ValueError(f"modulus must be >= 1, got {m}")
         return remainder_inplace(self.values(keys), m)  # values() owns it

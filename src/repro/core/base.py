@@ -230,7 +230,7 @@ class SheSketchBase:
         The per-kind hashing step, and the only hook an insert needs:
         :meth:`_insert_at` feeds these columns to the one apply kernel,
         :func:`repro.core.batch.apply_columnar`.  ``times`` may stay
-        item-major (one per key, ``cell_idx`` holding ``k`` touches per
-        key).
+        one per key, with ``cell_idx`` holding ``k`` touches per key
+        item-major or as the hashes' touch-major ``(k, n)`` block.
         """
         raise NotImplementedError

@@ -30,6 +30,15 @@ whole batch.  A gap longer than ``Tcycle`` falls between two pieces,
 which preserves the documented failure mode: two flips with no touch
 in between leave the parity equal and no reset happens (Eq. 1).
 
+One shape rule picks how a piece is applied.  ADD_ONE and SET_ONE
+pieces with at least ``M`` touches are *counted*: one counting pass
+keyed by ``(parity, cell)`` fills a ``2M`` workspace, and each group
+keeps its late row (touches after its flip) if it has one, else its
+early row — O(M) work after the one pass, and touch order never
+matters.  Smaller pieces, and MAX_RANK / MIN_HASH ones, are
+*scattered*: per-touch parities, a last-parity scatter, and the
+survivors (or, for ADD_ONE, every touch minus the discarded prefix).
+
 Software frame (sweeping cleaner).  A write to cell ``j`` at time
 ``t_i`` survives to the end of the batch iff the sweeper does not cross
 ``j`` in ``(t_i, t_end]`` — i.e. iff the cell's latest cleaning time as
@@ -44,9 +53,24 @@ cell, so ``apply_columnar`` takes one ``(B, M)`` value block instead of
 a ``B x M`` touch list, and each cell keeps the minimum of its
 surviving suffix of items (one column-wise suffix-minimum pass).
 
+Touches come one time per touch, item-major (one time per item, its
+``k`` touches adjacent), or as a touch-major ``(k, B)`` block — the
+layout :class:`~repro.common.hashing.HashFamily` mixes in, which
+SHE-CM, SHE-BF and the generic sketch pass through without a copy.
+
 Throughput notes for :func:`apply_columnar`, the single kernel every
 insert goes through:
 
+* on one 8192-item, 8-hash SHE-CM piece (M = 8192, touch-major) that
+  straddles a cycle boundary the counted path costs ~350 µs against
+  ~700 µs for the scattered path on the same piece: the mark split
+  ~25, the composite key ``cell + M·parity`` ~110 (four ``int64``
+  passes), the ``np.add.at`` count ~145, and ~70 for the per-group
+  work and ``cells += surv`` (best of 300 calls, 2-CPU host, NumPy
+  2.4).  It uses only ``int64`` slice arithmetic, a ``uint32``
+  ``add.at``, ``any(axis=1)``, bool logic and ``copyto(where=)``: each
+  NumPy inner loop a process runs for the first time maps more of
+  NumPy's library pages, which the benchmark's ``rss_mb`` counts;
 * the ADD_ONE scatter passes a dtype-matched operand so ``np.add.at``
   takes NumPy's fast indexed-loop path instead of the generic buffered
   one (~50x on uint32 cells);
@@ -54,15 +78,12 @@ insert goes through:
   worked out once per item, not per touch: ``HardwareFrame._mark_split``
   gives each item the number ``n`` of groups still on mark ``q mod 2``
   (one per-item ``int64`` buffer, updated in place; ``q`` takes two
-  values in a piece, split by one search), and the ``(B, k)`` touches
-  compare their group ids against it — no offset gather, no repeat of
-  the times.  On one 8192-item, 8-hash SHE-CM piece that straddles a
-  cycle boundary the kernel went from 1.4-1.6 ms to 1.0-1.2 ms (best
-  of 200 calls, 2-CPU host, NumPy 2.4);
+  values in a piece, split by one search), and touches compare their
+  group ids — or, counted, their cells against ``n·w`` — with it;
 * with one touch per time (SHE-BM, SHE-HLL) per item is per touch, and
-  the offset gather plus an arithmetic shift (``Tcycle`` a power of
-  two; exact for int64 under floor semantics, including negative
-  phases) measured faster than the per-item split;
+  the scattered path's offset gather plus an arithmetic shift
+  (``Tcycle`` a power of two; exact for int64 under floor semantics,
+  including negative phases) measured faster than the per-item split;
 * group ids use a shift when the group width is a power of two.
 
 The per-item reference it must match bit for bit lives in the tests
@@ -181,7 +202,104 @@ def _touch_parity(
 _UNTOUCHED = np.uint8(2)
 
 
+# update kinds whose surviving touches reduce to per-cell counts
+_COUNTED = (UpdateKind.ADD_ONE, UpdateKind.SET_ONE)
+
+
 def _apply_hardware(
+    frame: HardwareFrame,
+    times: np.ndarray,
+    cell_idx: np.ndarray,
+    values: np.ndarray | None,
+    kind: UpdateKind,
+) -> None:
+    """One ``CheckGroup``-and-apply pass over a batch that spans less
+    than ``Tcycle`` (a :func:`_tcycle_pieces` piece).  ``cell_idx`` is
+    per touch or item-major (1-D), or a touch-major ``(k, B)`` block."""
+    if kind in _COUNTED and cell_idx.size >= frame.num_cells:
+        _apply_counted(frame, times, cell_idx, kind)
+        return
+    if cell_idx.ndim == 2:
+        # the scatter below needs each group's latest touch written
+        # last, so touch-major blocks go back to item-major
+        cell_idx = cell_idx.T.reshape(-1)
+        if values is not None:
+            values = values.T.reshape(-1)
+    _apply_scattered(frame, times, cell_idx, values, kind)
+
+
+def _apply_counted(
+    frame: HardwareFrame, times: np.ndarray, cell_idx: np.ndarray, kind: UpdateKind
+) -> None:
+    """ADD_ONE / SET_ONE over a piece with at least ``M`` touches: one
+    counting pass keyed by ``(parity, cell)``, then O(M) per-group work.
+
+    A group's touches carry its mark at ``times[0]`` (early) until its
+    one flip in the piece, and the other mark (late) after it, so the
+    ``2M`` counts hold each group's early and late rows.  The late row
+    survives if the group was touched late, else the early row; the
+    group resets if it was touched on both sides of its flip, or if the
+    surviving parity differs from its stored mark.  Touch order never
+    matters, so any layout works.
+    """
+    m = frame.num_cells
+    n, mark, cut = frame._mark_split(times)
+    # groups below n0 carry ``mark`` at times[0], the rest its flip
+    n0 = int(n[0])
+    # gid >= n  <=>  cell >= n·w: no per-touch group ids
+    n *= frame.group_width
+    if cell_idx.ndim == 2:
+        key = cell_idx - n  # (k, B) touch-major
+        items = key.T
+    else:
+        cell_idx = cell_idx.reshape(n.size, -1)
+        key = cell_idx - n[:, None]
+        items = key
+    # -1 below the item's split, 0 at or above it (int64 sign bit)
+    np.right_shift(key, 63, out=key)
+    # a run on mark r gives parity r below the split and 1 - r above:
+    # parity·M is -M·key for r = 1 and M·(key + 1) for r = 0
+    for run, r in ((items[:cut], mark), (items[cut:], 1 - mark)):
+        if r:
+            run *= -m
+        else:
+            run += 1
+            run *= m
+    key += cell_idx
+    if kind is UpdateKind.ADD_ONE:
+        counts = np.zeros(2 * m, dtype=np.uint32)
+        np.add.at(counts, key.reshape(-1), np.uint32(1))
+    else:
+        # SET_ONE needs only whether a count is non-zero: a flag each
+        counts = np.zeros(2 * m, dtype=np.uint8)
+        counts[key.reshape(-1)] = 1
+
+    rows = counts.reshape(2, frame.num_groups, frame.group_width)
+    on_mark = rows[mark].any(axis=1)
+    on_flip = rows[1 - mark].any(axis=1)
+    # early/late per group: groups from n0 on start on the flip
+    early = np.concatenate((on_mark[:n0], on_flip[n0:]))
+    late = np.concatenate((on_flip[:n0], on_mark[n0:]))
+    touched = early | late
+    last_parity = frame._current_marks_all(int(times[0]))
+    last_parity ^= late.view(np.uint8)
+    cleaned = touched & ((early & late) | (frame.marks != last_parity))
+    # the surviving row, into rows[0]: rows[1] where the last parity is 1
+    np.copyto(rows[0], rows[1], where=last_parity.view(bool)[:, None])
+    surv = counts[:m]
+
+    frame._reset_groups(cleaned)
+    np.copyto(frame.marks, last_parity, where=touched)
+    if kind is UpdateKind.ADD_ONE:
+        # exact under modular cell arithmetic, any cell width
+        np.add(frame.cells, surv, out=frame.cells, casting="unsafe")
+    else:
+        # SET_ONE cells hold 0/1 bits (merges OR them with np.maximum
+        # too); a masked copy of 1s runs several times slower
+        np.maximum(frame.cells, surv, out=frame.cells)
+
+
+def _apply_scattered(
     frame: HardwareFrame,
     times: np.ndarray,
     cell_idx: np.ndarray,
@@ -258,7 +376,13 @@ def _apply_software(
     values: np.ndarray | None,
     kind: UpdateKind,
 ) -> None:
-    if times.size != cell_idx.size:
+    if cell_idx.ndim == 2:
+        # touch-major: row j holds every item's j-th touch
+        times = np.tile(times, cell_idx.shape[0])
+        cell_idx = cell_idx.reshape(-1)
+        if values is not None:
+            values = values.reshape(-1)
+    elif times.size != cell_idx.size:
         times = np.repeat(times, cell_idx.size // times.size)
     t_end = int(times[-1])
     survivors = frame._clean_times(cell_idx, t_end) <= times
@@ -316,15 +440,18 @@ def apply_columnar(
     Args:
         frame: a :class:`HardwareFrame` or :class:`SoftwareFrame`.
         times: arrival times (non-decreasing), ``int64`` — either one
-            per touch, or one per *item* with ``cell_idx`` laid out
-            item-major, ``k`` touches per item (``cell_idx.size == k *
-            times.size``), which the hardware kernel keeps per item
-            and the software one expands to per touch.
-        cell_idx: touched cell index per touch, or ``None`` for a dense
-            batch in which every item touches every cell (SHE-MH's
-            M-permutation update); ``values`` is then a ``(B, M)``
-            block, one row per item, and ``kind`` must be MIN_HASH.
-        values: per-touch operand for MAX_RANK / MIN_HASH, else ``None``.
+            per touch, or one per *item* with ``k`` touches per item,
+            which the hardware kernel keeps per item and the software
+            one expands to per touch.
+        cell_idx: touched cell index per touch: 1-D, one per time or
+            item-major (``cell_idx.size == k * times.size``), or a
+            touch-major ``(k, B)`` block whose row ``j`` holds every
+            item's ``j``-th touch.  ``None`` for a dense batch in which
+            every item touches every cell (SHE-MH's M-permutation
+            update); ``values`` is then a ``(B, M)`` block, one row per
+            item, and ``kind`` must be MIN_HASH.
+        values: per-touch operand for MAX_RANK / MIN_HASH, laid out
+            like ``cell_idx``, else ``None``.
         kind: which CSM update function to apply.
     """
     if times.size == 0:
@@ -350,7 +477,13 @@ def apply_columnar(
         cell_idx = cell_idx.view(np.int64)
     elif cell_idx.dtype != np.int64:
         cell_idx = cell_idx.astype(np.int64)
-    if cell_idx.size % times.size:
+    if cell_idx.ndim == 2:
+        if cell_idx.shape[1] != times.size:
+            raise ValueError(
+                f"a touch-major cell_idx block {cell_idx.shape} needs one "
+                f"column per time ({times.size})"
+            )
+    elif cell_idx.size % times.size:
         raise ValueError(
             f"cell_idx ({cell_idx.size}) must be a multiple of "
             f"times ({times.size})"
@@ -358,12 +491,19 @@ def apply_columnar(
     if not hardware:
         _apply_software(frame, times, cell_idx, values, kind)
         return
-    k = cell_idx.size // times.size
+    if cell_idx.ndim == 2:
+        def piece(a, lo, hi):
+            return a[:, lo:hi]
+    else:
+        k = cell_idx.size // times.size
+
+        def piece(a, lo, hi):
+            return a[lo * k:hi * k]
     for lo, hi in _tcycle_pieces(times, frame.t_cycle):
         _apply_hardware(
             frame,
             times[lo:hi],
-            cell_idx[lo * k:hi * k],
-            None if values is None else values[lo * k:hi * k],
+            piece(cell_idx, lo, hi),
+            None if values is None else piece(values, lo, hi),
             kind,
         )

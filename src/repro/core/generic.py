@@ -138,13 +138,12 @@ class GenericSheSketch(SheSketchBase):
         return None
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        k = self.spec.locations
-        idx = self.hashes.indices(keys, self.num_cells_total)
+        # one time per item and the hashes' touch-major (k, n) block;
+        # operands are per touch, one row per hash function
+        idx = self.hashes.indices(keys, self.num_cells_total).T
         ops = self._operands(keys)
-        # item-major times (the kernel expands them); operands are
-        # per touch
-        touch_ops = None if ops is None else np.repeat(ops, k)
-        return times, idx.reshape(-1), touch_ops, self.spec.update
+        touch_ops = None if ops is None else np.tile(ops, (idx.shape[0], 1))
+        return times, idx, touch_ops, self.spec.update
 
     def read_cells(self, keys, t: int | None = None) -> CellReadout:
         """Cleaned cell contents + age classification for queried keys."""

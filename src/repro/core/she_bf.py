@@ -72,10 +72,10 @@ class SheBloomFilter(SheSketchBase):
     # -- insertion -----------------------------------------------------------
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        # item-major times, one per item: the hardware kernel works
-        # out mark parities per item, never per touch
-        idx = self.hashes.indices(keys, self.num_bits)  # (n, k)
-        return times, idx.reshape(-1), None, UpdateKind.SET_ONE
+        # one time per item and the hashes' contiguous touch-major
+        # (k, n) block: no per-touch times, no transpose copy
+        idx = self.hashes.indices(keys, self.num_bits).T
+        return times, idx, None, UpdateKind.SET_ONE
 
     # -- queries ---------------------------------------------------------------
 
@@ -87,12 +87,12 @@ class SheBloomFilter(SheSketchBase):
         """Vectorised membership test for a batch of keys."""
         t = self._resolve_time(t)
         keys = as_key_array(keys)
-        idx = self.hashes.indices(keys, self.num_bits)  # (n, k)
+        idx = self.hashes.indices(keys, self.num_bits).T  # (k, n)
         flat = idx.reshape(-1)
         mature = self.frame.mature_mask(flat, t).reshape(idx.shape)
         bits = self.frame.read(flat, t).reshape(idx.shape).astype(bool)
         # evidence of absence: a mature mapped bit that is 0
-        absent = np.any(mature & ~bits, axis=1)
+        absent = np.any(mature & ~bits, axis=0)
         return ~absent
 
     def _probe_extra(self) -> dict:

@@ -76,10 +76,10 @@ class SheCountMin(SheSketchBase):
         )
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        # item-major times, one per item: the hardware kernel works
-        # out mark parities per item, never per touch
-        idx = self.hashes.indices(keys, self.num_counters)
-        return times, idx.reshape(-1), None, UpdateKind.ADD_ONE
+        # one time per item and the hashes' contiguous touch-major
+        # (k, n) block: no per-touch times, no transpose copy
+        idx = self.hashes.indices(keys, self.num_counters).T
+        return times, idx, None, UpdateKind.ADD_ONE
 
     def frequency(self, key: int, t: int | None = None) -> float:
         """Estimate how many times ``key`` appeared in the window."""
@@ -89,16 +89,16 @@ class SheCountMin(SheSketchBase):
         """Vectorised frequency estimates for a batch of keys."""
         t = self._resolve_time(t)
         keys = as_key_array(keys)
-        idx = self.hashes.indices(keys, self.num_counters)
+        idx = self.hashes.indices(keys, self.num_counters).T  # (k, n)
         flat = idx.reshape(-1)
         mature = self.frame.mature_mask(flat, t).reshape(idx.shape)
         counts = self.frame.read(flat, t).reshape(idx.shape).astype(np.float64)
         # min over mature counters; fall back to min over all if none mature
         masked = np.where(mature, counts, np.inf)
-        est = np.min(masked, axis=1)
-        no_mature = ~np.any(mature, axis=1)
+        est = np.min(masked, axis=0)
+        no_mature = ~np.any(mature, axis=0)
         if np.any(no_mature):
-            est[no_mature] = np.min(counts[no_mature], axis=1)
+            est[no_mature] = np.min(counts[:, no_mature], axis=0)
         return est
 
     def _probe_extra(self) -> dict:

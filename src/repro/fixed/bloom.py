@@ -34,7 +34,7 @@ class BloomFilter:
         keys = as_key_array(keys)
         if keys.size == 0:
             return
-        idx = self.hashes.indices(keys, self.num_bits)
+        idx = self.hashes.indices(keys, self.num_bits).T  # (k, n) block
         self.bits[idx.reshape(-1)] = 1
 
     def contains(self, key: int) -> bool:
@@ -44,8 +44,8 @@ class BloomFilter:
     def contains_many(self, keys) -> np.ndarray:
         """Vectorised membership test."""
         keys = as_key_array(keys)
-        idx = self.hashes.indices(keys, self.num_bits)
-        return np.all(self.bits[idx.reshape(-1)].reshape(idx.shape) != 0, axis=1)
+        idx = self.hashes.indices(keys, self.num_bits).T  # (k, n)
+        return np.all(self.bits[idx.reshape(-1)].reshape(idx.shape) != 0, axis=0)
 
     @property
     def memory_bytes(self) -> int:

@@ -33,8 +33,9 @@ class CountMinSketch:
         keys = as_key_array(keys)
         if keys.size == 0:
             return
-        idx = self.hashes.indices(keys, self.num_counters)
-        # a dtype-matched operand keeps np.add.at on its fast indexed loop
+        # the contiguous (k, n) block flattens without a copy; a
+        # dtype-matched operand keeps np.add.at on its fast indexed loop
+        idx = self.hashes.indices(keys, self.num_counters).T
         np.add.at(self.counters, idx.reshape(-1), self.counters.dtype.type(1))
 
     def frequency(self, key: int) -> int:
@@ -44,8 +45,8 @@ class CountMinSketch:
     def frequency_many(self, keys) -> np.ndarray:
         """Vectorised frequency estimates."""
         keys = as_key_array(keys)
-        idx = self.hashes.indices(keys, self.num_counters)
-        return np.min(self.counters[idx.reshape(-1)].reshape(idx.shape), axis=1)
+        idx = self.hashes.indices(keys, self.num_counters).T  # (k, n)
+        return np.min(self.counters[idx.reshape(-1)].reshape(idx.shape), axis=0)
 
     @property
     def memory_bytes(self) -> int:

@@ -115,6 +115,30 @@ class TestHashFamily:
         assert np.array_equal(got, want)
         assert np.array_equal(fam.indices(int(keys[0]), m), want[0])
 
+    @pytest.mark.parametrize("m", [1, 64, 1 << 13, 1 << 40, 3, 97, (1 << 13) + 1])
+    def test_layout_matches_item_major_construction(self, m):
+        """Mixing in ``(k, n)`` layout changes no hash bit: ``values``
+        and ``indices`` equal the item-major ``(n, k)`` construction
+        ``splitmix64(keys[:, None] ^ seeds)`` for arrays and a scalar
+        key, so sketches and checkpoints built before answer the same;
+        ``.T`` is the contiguous touch-major block."""
+        fam = HashFamily(8, seed=0xC0FFEE)
+        keys = np.random.default_rng(m % 7919).integers(
+            0, 1 << 64, size=1000, dtype=np.uint64
+        )
+        old = splitmix64(keys[:, None] ^ fam.seeds[None, :])
+        old_idx = old % np.uint64(m)
+        got = fam.values(keys)
+        assert got.shape == (1000, 8)
+        assert np.array_equal(got, old)
+        idx = fam.indices(keys, m)
+        assert np.array_equal(idx, old_idx)
+        assert idx.T.flags.c_contiguous
+        assert np.array_equal(fam.values(int(keys[3])), old[3])
+        assert np.array_equal(fam.indices(int(keys[3]), m), old_idx[3])
+        for i in (0, 7):
+            assert fam.index(int(keys[5]), i, m) == int(old_idx[5, i])
+
     def test_modulus_validation(self):
         with pytest.raises(ValueError):
             HashFamily(1).indices(np.asarray([1], dtype=np.uint64), 0)

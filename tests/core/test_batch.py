@@ -3,10 +3,12 @@
 These are the keystone correctness tests of the repository — every SHE
 sketch funnels its insertions through ``apply_columnar``, so it must
 match the naive per-item references in ``helpers.py`` bit for bit on
-every update kind, both frames, both time layouts (one time per touch,
-or one per item with ``k`` touches each) and both of the hardware
-kernel's branches.  A hardware batch spanning ``Tcycle`` or more is cut
-into pieces narrower than ``Tcycle`` before the kernel sees it; the
+every update kind, both frames, every touch layout (one time per
+touch; one per item with ``k`` touches each, item-major or as a
+touch-major ``(k, B)`` block) and both of the hardware kernel's paths:
+ADD_ONE / SET_ONE pieces with at least ``M`` touches are counted, the
+rest are scattered.  A hardware batch spanning ``Tcycle`` or more is
+cut into pieces narrower than ``Tcycle`` before the kernel sees it; the
 "general" batches below are such inputs.
 """
 
@@ -59,6 +61,21 @@ def _assert_same(fast, naive, modulus=None):
         assert fast.marks.tolist() == naive.marks
 
 
+@pytest.fixture
+def paths(monkeypatch):
+    """Names of the hardware kernel paths each piece took, in order."""
+    seen = []
+    for name in ("_apply_counted", "_apply_scattered"):
+        real = getattr(batch, name)
+
+        def spy(*args, _real=real, _name=name):
+            seen.append(_name[len("_apply_"):])
+            _real(*args)
+
+        monkeypatch.setattr(batch, name, spy)
+    return seen
+
+
 def _hardware_branch(frame, touch_times, cells):
     """Which kind of hardware batch this is.
 
@@ -104,14 +121,11 @@ def test_software_batch_matches_naive(kind, seed):
     _assert_same(fast, naive)
 
 
-@pytest.mark.parametrize("frame_kind", ["hardware", "software"])
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("k", [2, 3, 8])
-def test_item_major_times_match_naive(frame_kind, kind, k):
-    """One time per item, ``k`` touches per item laid out item-major."""
+def _check_per_item_layout(frame_kind, kind, k, layout, m):
+    """One time per item and ``k`` touches per item, item-major (1-D)
+    or as a touch-major ``(k, B)`` block, against the per-item oracle."""
     rng = np.random.default_rng(10 * k)
     cfg = SheConfig(window=40, alpha=0.3, group_width=4)
-    m = 32
     fast, naive = _frames(frame_kind, cfg, m, kind)
     n = 150
     times = np.sort(rng.integers(0, 5 * cfg.t_cycle, size=n)).astype(np.int64)
@@ -121,9 +135,38 @@ def test_item_major_times_match_naive(frame_kind, kind, k):
         if kind in (UpdateKind.MAX_RANK, UpdateKind.MIN_HASH)
         else None
     )
-    apply_columnar(fast, times, cells, values, kind)
+    if layout == "item-major":
+        apply_columnar(fast, times, cells, values, kind)
+    else:
+        apply_columnar(
+            fast, times, cells.reshape(n, k).T.copy(),
+            None if values is None else values.reshape(n, k).T.copy(), kind,
+        )
     _naive_apply(naive, np.repeat(times, k), cells, values, kind)
     _assert_same(fast, naive)
+
+
+@pytest.mark.parametrize("frame_kind", ["hardware", "software"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [2, 3, 8])
+def test_item_major_times_match_naive(frame_kind, kind, k):
+    """One time per item, ``k`` touches per item laid out item-major."""
+    _check_per_item_layout(frame_kind, kind, k, "item-major", 32)
+
+
+@pytest.mark.parametrize("frame_kind", ["hardware", "software"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize(
+    "layout,m",
+    [("touch-major", 32), ("touch-major", 2048), ("item-major", 2048)],
+)
+def test_per_item_layouts_on_both_paths(frame_kind, kind, k, layout, m):
+    """Touch-major ``(k, B)`` blocks as well as item-major touches;
+    with ``m = 2048`` hardware pieces stay below ``M`` touches, so
+    ADD_ONE/SET_ONE take the scattered path, with ``m = 32`` the
+    counted one."""
+    _check_per_item_layout(frame_kind, kind, k, layout, m)
 
 
 def _branch_batch(branch, cfg, m):
@@ -171,12 +214,13 @@ def test_each_hardware_branch_matches_naive(branch, kind):
     _assert_same(fast, naive)
 
 
-def test_single_flip_add_one_undoes_discarded_prefix():
-    """ADD_ONE on the single-flip branch scatters every touch, then
-    ``np.subtract.at`` removes the touches a mid-batch reset discarded."""
+def test_single_flip_add_one_undoes_discarded_prefix(paths):
+    """ADD_ONE on the scattered single-flip branch scatters every
+    touch, then ``np.subtract.at`` removes the touches a mid-batch
+    reset discarded (8 touches, fewer than M = 16 cells)."""
     cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
     tc = cfg.t_cycle
-    fast, naive = _frames("hardware", cfg, 8, UpdateKind.ADD_ONE)
+    fast, naive = _frames("hardware", cfg, 16, UpdateKind.ADD_ONE)
     # group 0 flips at tc: 5 touches before the flip, 3 after
     times = np.asarray([tc - 2] * 5 + [tc] * 3, dtype=np.int64)
     cells = np.asarray([1, 1, 2, 1, 3, 1, 2, 1], dtype=np.int64)
@@ -185,6 +229,38 @@ def test_single_flip_add_one_undoes_discarded_prefix():
     _naive_apply(naive, times, cells, None, UpdateKind.ADD_ONE)
     _assert_same(fast, naive)
     assert fast.cells[:4].tolist() == [0, 2, 1, 0]
+    assert paths == ["scattered"]
+
+
+@pytest.mark.parametrize("kind", [UpdateKind.ADD_ONE, UpdateKind.SET_ONE])
+@pytest.mark.parametrize("branch", ["no-flip", "single-flip"])
+@pytest.mark.parametrize("layout", ["item-major", "touch-major"])
+def test_counted_piece_matches_naive(paths, kind, branch, layout):
+    """A piece with at least M touches is counted by (parity, cell):
+    each group keeps its late row if touched after its flip, else its
+    early row, on warm frames with touches on both sides of the flip."""
+    cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
+    m, k = 32, 4
+    fast, naive = _frames("hardware", cfg, m, kind)
+    warm_t, warm_c, _ = random_touches(
+        np.random.default_rng(3), 80, m, cfg.t_cycle // 2, kind
+    )
+    apply_columnar(fast, warm_t, warm_c, None, kind)
+    _naive_apply(naive, warm_t, warm_c, None, kind)
+    times, cells = _branch_batch(branch, cfg, m)
+    rng = np.random.default_rng(4)
+    cells = np.stack([cells] + [rng.integers(0, m, cells.size) for _ in range(k - 1)])
+    if branch == "no-flip":
+        cells %= cfg.group_width  # stay in group 0
+    assert _hardware_branch(fast, np.tile(times, k), cells.reshape(-1)) == branch
+    paths.clear()
+    if layout == "touch-major":
+        apply_columnar(fast, times, cells, None, kind)
+    else:
+        apply_columnar(fast, times, cells.T.reshape(-1), None, kind)
+    assert paths == ["counted"]
+    _naive_apply(naive, np.repeat(times, k), cells.T.reshape(-1), None, kind)
+    _assert_same(fast, naive)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -265,12 +341,61 @@ def test_touch_parity_equals_current_marks(k, window, alpha, group_width, groups
         assert got.tolist() == textbook.tolist()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("layout", ["item-major", "touch-major"])
+def test_shape_rule_counts_pieces_of_at_least_m_touches(paths, kind, layout):
+    """The one shape rule: an ADD_ONE / SET_ONE piece is counted from
+    ``M`` touches on and scattered below; MAX_RANK / MIN_HASH always
+    scatter.  Both sides match the per-item oracle."""
+    cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
+    m, k = 24, 4
+    fast, naive = _frames("hardware", cfg, m, kind)
+    rng = np.random.default_rng(9)
+    counted = kind in (UpdateKind.ADD_ONE, UpdateKind.SET_ONE)
+    t = 2 * cfg.t_cycle - 3  # pieces straddle group 0's flip
+    for items in (m // k - 1, m // k, m // k + 1):
+        times = np.arange(t, t + items, dtype=np.int64)
+        cells = rng.integers(0, m, size=(k, items))
+        values = (
+            rng.integers(1, 30, size=(k, items))
+            if kind in (UpdateKind.MAX_RANK, UpdateKind.MIN_HASH) else None
+        )
+        paths.clear()
+        if layout == "touch-major":
+            apply_columnar(fast, times, cells, values, kind)
+        else:
+            apply_columnar(
+                fast, times, cells.T.reshape(-1),
+                None if values is None else values.T.reshape(-1), kind,
+            )
+        want = "counted" if counted and items * k >= m else "scattered"
+        assert paths == [want]
+        _naive_apply(
+            naive, np.repeat(times, k), cells.T.reshape(-1),
+            None if values is None else values.T.reshape(-1), kind,
+        )
+        _assert_same(fast, naive)
+        t += items
+
+
 @pytest.mark.parametrize("branch", ["no-flip", "single-flip", "general"])
-def test_add_one_wraps_on_narrow_cells(branch):
-    """uint8 counters wrap modulo 256 exactly like the naive count."""
+def test_add_one_wraps_on_narrow_cells(paths, branch):
+    """uint8 counters wrap modulo 256 exactly like the naive count
+    (pieces of 10-300 touches against 8 cells: counted)."""
+    _check_narrow_wrap(paths, branch, 8)
+
+
+@pytest.mark.parametrize("branch", ["no-flip", "single-flip", "general"])
+def test_scattered_add_one_wraps_on_narrow_cells(paths, branch):
+    """The same wrap on the scattered path: 512 cells, so every piece
+    has fewer touches than cells."""
+    _check_narrow_wrap(paths, branch, 512)
+
+
+def _check_narrow_wrap(paths, branch, m):
     cfg = SheConfig(window=48, alpha=1 / 3, group_width=4)  # Tcycle 64
     tc = cfg.t_cycle
-    fast, naive = _frames("hardware", cfg, 8, UpdateKind.ADD_ONE, dtype=np.uint8)
+    fast, naive = _frames("hardware", cfg, m, UpdateKind.ADD_ONE, dtype=np.uint8)
     if branch == "no-flip":
         times = np.full(300, tc + 5, dtype=np.int64)
         cells = np.ones(300, dtype=np.int64)
@@ -288,6 +413,7 @@ def test_add_one_wraps_on_narrow_cells(branch):
     _naive_apply(naive, times, cells, None, UpdateKind.ADD_ONE)
     _assert_same(fast, naive, modulus=256)
     assert fast.cells.dtype == np.uint8
+    assert set(paths) == {"counted" if m == 8 else "scattered"}
 
 
 @pytest.mark.parametrize("frame_kind", ["hardware", "software"])
@@ -414,6 +540,8 @@ def test_rejects_touches_not_a_multiple_of_items():
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
     with pytest.raises(ValueError, match="multiple"):
         apply_columnar(f, np.asarray([0, 1]), np.asarray([0, 1, 2]), None, UpdateKind.SET_ONE)
+    with pytest.raises(ValueError, match="column per time"):
+        apply_columnar(f, np.asarray([0, 1]), np.zeros((2, 3), np.int64), None, UpdateKind.SET_ONE)
 
 
 def test_duplicate_cell_same_time_add():

@@ -4,7 +4,10 @@ Hypothesis drives random touch sequences through the vectorised apply
 kernel (``apply_columnar``) and the literal per-item reference; they
 must agree bit for bit on cells (and marks for the hardware frame)
 under every update kind, window, alpha, group width, touch pattern and
-time layout (one time per touch, or one per item with ``k`` touches).
+layout (one time per touch, or one per item with ``k`` touches, either
+item-major or as a touch-major ``(k, B)`` block), on pieces both below
+and at or above ``M`` touches (the kernel's scattered and counted
+paths) and on cells narrow enough to wrap.
 """
 
 import numpy as np
@@ -26,7 +29,9 @@ def touch_sequences(draw):
     window = draw(st.integers(5, 60))
     alpha = draw(st.floats(0.1, 3.0))
     w = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
-    groups = draw(st.integers(1, 6))
+    # few groups: most hardware pieces have at least M touches (the
+    # counted path); many: most have fewer (the scattered path)
+    groups = draw(st.one_of(st.integers(1, 6), st.integers(20, 90)))
     m = w * groups
     cfg = SheConfig(window=window, alpha=alpha, group_width=w)
     n = draw(st.integers(1, 120))
@@ -106,12 +111,20 @@ def item_major_sequences(draw):
     return cfg, m, k, base, times, cells, values
 
 
-@given(item_major_sequences(), KINDS, st.sampled_from(["hardware", "software"]))
-@settings(max_examples=120, deadline=None)
-def test_item_major_batch_equals_reference(seq, kind, frame_kind):
+@given(
+    item_major_sequences(),
+    KINDS,
+    st.sampled_from(["hardware", "software"]),
+    st.sampled_from(["item-major", "touch-major"]),
+    st.sampled_from([np.int64, np.uint8]),
+)
+@settings(max_examples=200, deadline=None)
+def test_item_major_batch_equals_reference(seq, kind, frame_kind, layout, dtype):
     cfg, m, k, base, times, cells, values = seq
-    empty = 999 if kind is UpdateKind.MIN_HASH else 0
-    fast = make_frame(frame_kind, cfg, m, dtype=np.int64, empty_value=empty, cell_bits=8)
+    # uint8 cells: ADD_ONE counts wrap modulo 256 (compared as such)
+    modulus = 256 if dtype is np.uint8 else None
+    empty = (255 if modulus else 999) if kind is UpdateKind.MIN_HASH else 0
+    fast = make_frame(frame_kind, cfg, m, dtype=dtype, empty_value=empty, cell_bits=8)
     naive_cls = NaiveHardwareFrame if frame_kind == "hardware" else NaiveSoftwareFrame
     naive = naive_cls(cfg, m, empty_value=empty)
     if frame_kind == "hardware":
@@ -119,13 +132,13 @@ def test_item_major_batch_equals_reference(seq, kind, frame_kind):
         # a time, so only the hardware frame starts far from it
         times = [base + t for t in times]
 
-    apply_columnar(
-        fast,
-        np.asarray(times, dtype=np.int64),
-        np.asarray(cells, dtype=np.int64),
-        np.asarray(values, dtype=np.int64),
-        kind,
-    )
+    c_arr = np.asarray(cells, dtype=np.int64)
+    v_arr = np.asarray(values, dtype=np.int64)
+    if layout == "touch-major":
+        # row j holds every item's j-th touch
+        c_arr = c_arr.reshape(-1, k).T.copy()
+        v_arr = v_arr.reshape(-1, k).T.copy()
+    apply_columnar(fast, np.asarray(times, dtype=np.int64), c_arr, v_arr, kind)
     touch_times = [t for t in times for _ in range(k)]
     for t, c, v in zip(touch_times, cells, values):
         naive.touch(c, t, kind, v)
@@ -134,7 +147,8 @@ def test_item_major_batch_equals_reference(seq, kind, frame_kind):
     else:
         assert fast.marks.tolist() == naive.marks
 
-    assert fast.cells.tolist() == naive.cells
+    want = naive.cells if modulus is None else [c % modulus for c in naive.cells]
+    assert fast.cells.tolist() == want
 
 
 @given(touch_sequences())
