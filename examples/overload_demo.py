@@ -1,4 +1,4 @@
-"""Admission control under a traffic burst: one slow shard, four policies.
+"""Admission control under a traffic burst: one slow shard, three policies.
 
 A 4-shard SHE-CM `StreamEngine` runs on real `ProcessExecutor` workers,
 with a `ChaosExecutor` making worker 0 *slow* (every op pays latency but
@@ -9,8 +9,7 @@ through each `overload_policy` with per-shard budgets configured:
 * `raise`      — whole batches come back as `EngineOverloadedError`
                  (no clock ticks consumed; the caller backs off),
 * `shed_oldest`/`shed_newest` — bounded buffers with exact shed
-                 accounting and a query-time caveat,
-* `block`      — bounded wait, then escalate.
+                 accounting and a query-time caveat.
 
 After each run the demo prints the conservation ledger
 (`ingested == flushed + buffered + shed + retained_down`), the overload
@@ -60,7 +59,6 @@ def config(policy: str) -> EngineConfig:
         max_buffered_items=PER_SHARD_BUDGET,
         down_retention_items=PER_SHARD_BUDGET // 4,
         overload_policy=policy,
-        block_timeout_s=0.05,
         sketch_kwargs={"seed": 7},
     )
 

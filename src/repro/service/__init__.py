@@ -55,7 +55,6 @@ from repro.service.crashsim import (
     tear_tail,
 )
 from repro.service.engine import (
-    KINDS,
     OVERLOAD_POLICIES,
     DegradedAnswer,
     EngineConfig,
@@ -93,7 +92,6 @@ from repro.service.wal import (
 )
 
 __all__ = [
-    "KINDS",
     "OVERLOAD_POLICIES",
     "EngineConfig",
     "StreamEngine",

@@ -31,9 +31,9 @@ reading each key's owning shard for point queries:
 * **Admission control.** Buffers are bounded when
   :class:`EngineConfig` sets budgets (``max_buffered_items`` /
   ``max_buffered_total`` / ``down_retention_items``): ingest *admits
-  before it stamps*, so arrivals rejected by the ``raise`` / ``block``
-  policies — or turned away by ``shed_newest`` — never consume
-  union-stream clock ticks, while ``shed_oldest`` evicts the oldest
+  before it stamps*, so arrivals rejected by the ``raise`` policy —
+  or turned away by ``shed_newest`` — never consume union-stream
+  clock ticks, while ``shed_oldest`` evicts the oldest
   buffered items with exact per-shard accounting.  The default
   (no budgets) is today's unbounded behaviour, untouched.
 
@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -82,7 +81,7 @@ from repro.service.errors import (
     ShardUnrecoverableError,
 )
 from repro.service.executor import ProcessExecutor, SerialExecutor
-from repro.service.sharding import DEFAULT_SHARD_SEED, partition, shard_ids, shard_of
+from repro.service.sharding import DEFAULT_SHARD_SEED, partition, shard_ids
 from repro.service.stats import EngineStats, format_stats
 from repro.service.wal import WAL_FSYNC_POLICIES, WriteAheadLog
 
@@ -90,17 +89,17 @@ __all__ = [
     "EngineConfig",
     "StreamEngine",
     "DegradedAnswer",
-    "KINDS",
     "OVERLOAD_POLICIES",
 ]
 
 #: admission-control responses when a buffer budget would be breached
-OVERLOAD_POLICIES = ("raise", "shed_oldest", "shed_newest", "block")
+OVERLOAD_POLICIES = ("raise", "shed_oldest", "shed_newest")
 
 #: config keys older checkpoint manifests carry but the engine no
 #: longer reads (``transport`` chose the removed shared-memory flush
-#: ring); :meth:`EngineConfig.from_json` drops them
-RETIRED_CONFIG_KEYS = frozenset({"transport"})
+#: ring, ``block_timeout_s`` bounded the removed ``"block"`` policy's
+#: wait); :meth:`EngineConfig.from_json` drops them
+RETIRED_CONFIG_KEYS = frozenset({"transport", "block_timeout_s"})
 
 #: point queries: the sketch method that answers one, and the value a
 #: key reads as when its owning shard is missing from a degraded answer
@@ -130,29 +129,6 @@ def _coalesced(records):
         pend_n += int(keys.size)
     if pend:
         yield pend_side, np.concatenate(pend)
-
-
-class _KindsView(Mapping):
-    """Live ``kind -> (sketch class, size-argument name)`` view.
-
-    Kept for backward compatibility with pre-registry callers of
-    ``repro.service.KINDS``; the registry is the source of truth, so
-    kinds installed via :func:`repro.core.registry.register_algorithm`
-    appear here automatically.
-    """
-
-    def __getitem__(self, kind: str) -> tuple[type, str]:
-        desc = get_descriptor(kind)
-        return (desc.cls, desc.size_arg)
-
-    def __iter__(self):
-        return iter(registered_kinds())
-
-    def __len__(self) -> int:
-        return len(registered_kinds())
-
-
-KINDS = _KindsView()
 
 
 @dataclass
@@ -191,11 +167,8 @@ class EngineConfig:
             :class:`~repro.service.errors.EngineOverloadedError`
             (atomically: no arrival of it consumes a clock tick),
             ``"shed_oldest"`` admits the arrivals and evicts the oldest
-            buffered items, ``"shed_newest"`` turns away the arrivals
-            that do not fit (they never consume clock ticks), and
-            ``"block"`` retries draining for up to ``block_timeout_s``
-            before escalating to the raise behaviour.
-        block_timeout_s: bounded wait for the ``"block"`` policy.
+            buffered items, and ``"shed_newest"`` turns away the arrivals
+            that do not fit (they never consume clock ticks).
         wal_dir: directory for the durable ingestion write-ahead log
             (:mod:`repro.service.wal`).  ``None`` (the default) disables
             the WAL entirely.  When set, every *admitted* ingest batch
@@ -226,7 +199,6 @@ class EngineConfig:
     max_buffered_total: int | None = None
     down_retention_items: int | None = None
     overload_policy: str = "raise"
-    block_timeout_s: float = 2.0
     wal_dir: str | None = None
     wal_fsync: str = "always"
     wal_fsync_interval_s: float = 1.0
@@ -257,10 +229,6 @@ class EngineConfig:
             raise ValueError(
                 f"overload_policy must be one of {OVERLOAD_POLICIES}, "
                 f"got {self.overload_policy!r}"
-            )
-        if self.block_timeout_s <= 0:
-            raise ValueError(
-                f"block_timeout_s must be positive, got {self.block_timeout_s}"
             )
         if self.wal_dir is not None:
             # JSON round-trip stability: manifests store the config, so
@@ -302,9 +270,14 @@ class EngineConfig:
         from a newer version (or a typo) should fail loudly, not as an
         opaque ``TypeError`` from the dataclass constructor.  Retired
         keys (:data:`RETIRED_CONFIG_KEYS`) that older manifests still
-        carry are dropped whatever their value.
+        carry are dropped whatever their value, and the retired
+        ``"block"`` policy reads as ``"raise"``: in this synchronous
+        engine nothing drains during its wait, so it always escalated
+        to the raise behaviour.
         """
         data = {k: v for k, v in data.items() if k not in RETIRED_CONFIG_KEYS}
+        if data.get("overload_policy") == "block":
+            data["overload_policy"] = "raise"
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -357,45 +330,21 @@ def _build_shards(config: EngineConfig) -> list:
 
 
 class _ShardBuffer:
-    """Pending (keys, times) chunks for one shard (and side, for MH).
+    """Pending (keys, times) chunks for one shard (and side, for MH)."""
 
-    Batch appends stage array slices; :meth:`append_one` stages bare
-    scalars in side lists that are sealed into one array chunk only
-    when the buffer is next drained/inspected, so the single-item
-    ingest path allocates no per-item arrays.
-    """
-
-    __slots__ = ("keys", "times", "count", "_pk", "_pt")
+    __slots__ = ("keys", "times", "count")
 
     def __init__(self) -> None:
         self.keys: list[np.ndarray] = []
         self.times: list[np.ndarray] = []
         self.count = 0
-        self._pk: list[int] = []
-        self._pt: list[int] = []
 
     def append(self, keys: np.ndarray, times: np.ndarray) -> None:
-        if self._pk:
-            self._seal()
         self.keys.append(keys)
         self.times.append(times)
         self.count += int(keys.size)
 
-    def append_one(self, key: int, time: int) -> None:
-        self._pk.append(key)
-        self._pt.append(time)
-        self.count += 1
-
-    def _seal(self) -> None:
-        """Convert staged scalars into one ordered array chunk."""
-        self.keys.append(np.asarray(self._pk, dtype=np.uint64))
-        self.times.append(np.asarray(self._pt, dtype=np.int64))
-        self._pk = []
-        self._pt = []
-
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._pk:
-            self._seal()
         keys = np.concatenate(self.keys) if len(self.keys) > 1 else self.keys[0]
         times = np.concatenate(self.times) if len(self.times) > 1 else self.times[0]
         self.keys.clear()
@@ -414,8 +363,6 @@ class _ShardBuffer:
         """Drop up to ``n`` of the oldest buffered items; returns the
         number actually dropped.  Chunks are time-ordered front-to-back
         and ascending within, so popping from the front is oldest-first."""
-        if self._pk:
-            self._seal()
         dropped = 0
         while dropped < n and self.keys:
             head = self.keys[0]
@@ -434,8 +381,6 @@ class _ShardBuffer:
         """Union-stream time of the oldest buffered item (None if empty)."""
         if self.times:
             return int(self.times[0][0])
-        if self._pt:
-            return self._pt[0]
         return None
 
 
@@ -465,8 +410,6 @@ class StreamEngine:
             (default: one per shard).
         clock: injectable monotonic clock for the time trigger and
             stats (tests pin it).
-        sleep: injectable sleep used by the ``"block"`` overload
-            policy's bounded wait (tests stub it).
         obs: observability — ``True`` / an :class:`repro.obs.Observability`
             bundle enables the labelled metrics registry, trace spans
             and SHE probe gauges (serve them with
@@ -485,7 +428,6 @@ class StreamEngine:
         executor: str = "serial",
         num_workers: int | None = None,
         clock=time.monotonic,
-        sleep=time.sleep,
         obs: "Observability | bool | None" = None,
         _shards: list | None = None,
         _clock_state: list[int] | None = None,
@@ -547,7 +489,6 @@ class StreamEngine:
         # lifetime shed count per shard, the union-stream time of each
         # shard's latest shed event (keyed by side, for the shed-in-window
         # caveat), and the deepest the queue has ever been per shard
-        self._sleep = sleep
         self._shed_counts = [0] * config.num_shards
         self._last_shed_t: dict[tuple[int, int], int] = {}
         self._queue_high_water = [0] * config.num_shards
@@ -676,9 +617,9 @@ class StreamEngine:
         control is configured (:attr:`EngineConfig.bounded`) the budgets
         are checked first, and only the admitted arrivals receive
         union-stream clock ticks.  A batch rejected by the ``"raise"``
-        / ``"block"`` policies — and arrivals turned away by
-        ``"shed_newest"`` — never advance the clock, so a caller that
-        backs off and retries delivers exactly the stream it meant to.
+        policy — and arrivals turned away by ``"shed_newest"`` — never
+        advance the clock, so a caller that backs off and retries
+        delivers exactly the stream it meant to.
         """
         self._check_open()
         if self._two_stream:
@@ -750,7 +691,7 @@ class StreamEngine:
         # offered, not admitted: arrivals a shed policy dropped still
         # count as ingested, so the conservation identity
         #   ingested == flushed + buffered + shed + retained_down
-        # closes.  raise/block rejections never reach this line.
+        # closes.  raise rejections never reach this line.
         self.stats.record_ingest(n_offered)
         if self.config.bounded and self.config.overload_policy == "shed_oldest":
             self._enforce_caps_shed_oldest(side)
@@ -808,13 +749,15 @@ class StreamEngine:
         Returns ``None`` to admit everything (the unbounded fast path
         and the ``shed_oldest`` policy, which admits then evicts), or a
         boolean mask of the admitted arrivals (``shed_newest``).  The
-        ``raise`` policy — and ``block`` once its deadline passes —
-        raises :class:`EngineOverloadedError` for the whole batch
-        instead; partial admission would reorder the union stream.
+        ``raise`` policy raises :class:`EngineOverloadedError` for the
+        whole batch instead; partial admission would reorder the union
+        stream.
 
         Before any policy fires, flushable live buffers are drained
         (a *relief flush*): data is never rejected or dropped while
-        room can still be made.
+        room can still be made.  The relief flush drains every live
+        buffer, and nothing marks a shard up during ``ingest``, so a
+        second check after it is final.
         """
         cfg = self.config
         if not cfg.bounded:
@@ -823,26 +766,15 @@ class StreamEngine:
         if policy == "shed_oldest":
             return None
         counts = np.bincount(sids, minlength=cfg.num_shards)
-        deadline = (
-            self._clock() + cfg.block_timeout_s if policy == "block" else None
-        )
-        while True:
+        over, over_total = self._over_budget(counts)
+        if not over and not over_total:
+            return None
+        if self._flushable_keys() or self._inflight is not None:
+            self._flush_buffers(strict=False)
             over, over_total = self._over_budget(counts)
             if not over and not over_total:
                 return None
-            if self._flushable_keys() or self._inflight is not None:
-                self._flush_buffers(strict=False)
-                over, over_total = self._over_budget(counts)
-                if not over and not over_total:
-                    return None
-            if deadline is not None and self._clock() < deadline:
-                # bounded wait: nothing drains by itself in this
-                # synchronous engine, but a supervisor thread or an
-                # injected clock can change the picture between polls
-                self._sleep(min(0.05, cfg.block_timeout_s / 10))
-                continue
-            break
-        if policy in ("raise", "block"):
+        if policy == "raise":
             self.stats.record_rejected(int(arr.size))
             limits = {self._shard_cap(s) for s in over} - {None}
             parts = []
@@ -957,57 +889,13 @@ class StreamEngine:
             remaining -= dropped
         return n - remaining
 
-    def ingest_one(self, key: int, side: int | None = None) -> None:
-        """Scalar fast path of :meth:`ingest` for one arrival.
-
-        Skips the batch path's array construction entirely — shard
-        assignment is a scalar :func:`repro.service.sharding.shard_of`
-        and the item is staged as a bare scalar in its shard buffer,
-        sealed into an array only at flush.  Whenever a slow-path
-        feature is active (admission control, a suffix log, stage
-        telemetry) it delegates to the batch path, so behaviour and
-        resulting state are identical either way.
-        """
-        if (
-            self.config.bounded
-            or self._log is not None
-            or self._stages.enabled
-        ):
-            self.ingest(np.asarray([key], dtype=np.uint64), side)
-            return
-        self._check_open()
-        if self._two_stream:
-            if side not in (0, 1):
-                raise ValueError("two-stream engines need side=0 or side=1")
-        elif side not in (None, 0):
-            raise ValueError(f"single-stream engine got side={side}")
-        side = 0 if side is None else side
-        if not isinstance(key, (int, np.integer)):
-            raise TypeError(f"keys must be integers, got {type(key).__name__}")
-        key = int(key) & 0xFFFFFFFFFFFFFFFF  # uint64 wrap, as as_key_array
-        s = shard_of(key, self.config.num_shards, self.config.shard_seed)
-        t0 = self._t[side]
-        self._t[side] = t0 + 1
-        buf = self._buffers.setdefault((s, side), _ShardBuffer())
-        buf.append_one(key, t0)
-        self._m_shard_items[s].inc(1)
-        depth = buf.count
-        if self._two_stream:
-            other = self._buffers.get((s, 1 - side))
-            if other is not None:
-                depth += other.count
-        if depth > self._queue_high_water[s]:
-            self._queue_high_water[s] = depth
-        self.stats.record_ingest(1)
-        self._maybe_flush()
-
     # alias so sketch-shaped consumers (HeavyHitters, harness drivers)
     # can drive an engine where they would drive a sketch
     def insert_many(self, keys) -> None:
         self.ingest(keys)
 
     def insert(self, key: int) -> None:
-        self.ingest_one(key)
+        self.ingest([key])
 
     def _maybe_flush(self) -> None:
         full = [
@@ -1634,9 +1522,6 @@ class StreamEngine:
             "max_buffered_items": cfg.max_buffered_items,
             "max_buffered_total": cfg.max_buffered_total,
             "down_retention_items": cfg.down_retention_items,
-            "block_timeout_s": (
-                cfg.block_timeout_s if cfg.overload_policy == "block" else None
-            ),
             "queue_depths": self.queue_depths(),
             "queue_high_water": list(self._queue_high_water),
             "items_shed_per_shard": list(self._shed_counts),

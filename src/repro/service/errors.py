@@ -95,10 +95,10 @@ class ShardUnrecoverableError(ShardError):
 class EngineOverloadedError(ShardError):
     """Admission control rejected an ingest batch: buffer budgets full.
 
-    Raised by the ``"raise"`` overload policy (and by ``"block"`` once
-    its deadline passes) *before* any arrival of the batch is stamped —
-    rejected keys never consume union-stream clock ticks, so a caller
-    that backs off and retries observes exactly the stream it delivered.
+    Raised by the ``"raise"`` overload policy *before* any arrival of
+    the batch is stamped — rejected keys never consume union-stream
+    clock ticks, so a caller that backs off and retries observes
+    exactly the stream it delivered.
     The whole batch is rejected atomically: admitting a prefix would
     silently reorder the union stream relative to what the caller sent.
 
@@ -110,8 +110,8 @@ class EngineOverloadedError(ShardError):
             down-shard retention cap when the shard was down), None
             when only the engine-wide budget was breached.
         total_limit: the engine-wide budget, None when unset.
-        policy: the overload policy that escalated here (``"raise"`` or
-            ``"block"``).
+        policy: the overload policy that rejected the batch
+            (``"raise"``).
         shard_ids / worker_ids: standard :class:`ShardError`
             attribution (the over-budget shards).
     """

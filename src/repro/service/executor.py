@@ -163,39 +163,24 @@ class SerialExecutor:
         for shard_id, sketch in shards.items():
             self._shards[shard_id] = sketch
 
-    def flush(
-        self,
-        shard_id: int,
-        keys,
-        times,
-        side: int | None = None,
-        trace: tuple[str, str] | None = None,
-    ) -> None:
-        started = time.perf_counter()
-        if trace is not None:
-            with self.obs.tracer.span(
-                "shard.apply",
-                trace_id=trace[0],
-                parent_id=trace[1],
-                shard=shard_id,
-                items=int(keys.size),
-            ):
-                _apply_flush(self._shards[shard_id], keys, times, side)
-        else:
-            _apply_flush(self._shards[shard_id], keys, times, side)
-        elapsed = time.perf_counter() - started
-        self._h_apply.observe(elapsed)
-        self.obs.stages.observe(
-            "apply", elapsed, trace[0] if trace is not None else None
-        )
-
     def send_many(self, batches, trace: tuple[str, str] | None = None) -> None:
         """Apply batches in order, at once; a failure stops the call and
         is kept for :meth:`settle`, naming the not-applied shards."""
         batches = list(batches)
         for i, (shard_id, keys, times, side) in enumerate(batches):
+            started = time.perf_counter()
             try:
-                self.flush(shard_id, keys, times, side, trace)
+                if trace is not None:
+                    with self.obs.tracer.span(
+                        "shard.apply",
+                        trace_id=trace[0],
+                        parent_id=trace[1],
+                        shard=shard_id,
+                        items=int(keys.size),
+                    ):
+                        _apply_flush(self._shards[shard_id], keys, times, side)
+                else:
+                    _apply_flush(self._shards[shard_id], keys, times, side)
             except Exception as exc:
                 err = ShardFailedError(
                     f"shard worker failed:\n{traceback.format_exc()}",
@@ -205,6 +190,11 @@ class SerialExecutor:
                 err.__cause__ = exc
                 self._errors.append(err)
                 return
+            elapsed = time.perf_counter() - started
+            self._h_apply.observe(elapsed)
+            self.obs.stages.observe(
+                "apply", elapsed, trace[0] if trace is not None else None
+            )
 
     def settle(self) -> None:
         """Raise the error kept by the round's ``send_many`` calls."""
@@ -540,16 +530,6 @@ class ProcessExecutor:
         return payload
 
     # -- protocol verbs ------------------------------------------------------
-
-    def flush(
-        self,
-        shard_id: int,
-        keys,
-        times,
-        side: int | None = None,
-        trace: tuple[str, str] | None = None,
-    ) -> None:
-        self.flush_many([(shard_id, keys, times, side)], trace)
 
     def _observe_apply(self, payload: dict) -> None:
         """Feed the worker's timed apply into the stage recorder.

@@ -258,20 +258,6 @@ class ChaosExecutor:
 
     # -- protocol verbs ------------------------------------------------------
 
-    def flush(
-        self, shard_id: int, keys, times, side: int | None = None, trace=None
-    ) -> None:
-        self._run(
-            shard_id,
-            self._inner.flush,
-            shard_id,
-            keys,
-            times,
-            side,
-            trace,
-            op="flush",
-        )
-
     def send_many(self, batches, trace=None) -> None:
         """Per-batch forwarding so each batch is its own countable op.
 

@@ -25,7 +25,7 @@ def shard_of(key: int, num_shards: int, seed: int = DEFAULT_SHARD_SEED) -> int:
     """Owning shard of one key — the scalar twin of :func:`shard_ids`.
 
     Bit-identical to ``shard_ids(np.asarray([key], dtype=np.uint64), ...)[0]``
-    without building the array (the engine's single-item fast path).
+    without building the array.
     """
     if num_shards == 1:
         return 0

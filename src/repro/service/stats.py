@@ -96,7 +96,7 @@ class EngineStats:
         )
         # admission-control counters: items dropped by a shed policy
         # (admitted then evicted, or turned away at the door) and whole
-        # batches rejected by the raise/block policies (those never
+        # batches rejected by the raise policy (those never
         # consume union-stream clock ticks and are NOT in items_ingested)
         self._shed = reg.counter(
             "engine_items_shed_total",
@@ -104,7 +104,7 @@ class EngineStats:
         )
         self._rejected = reg.counter(
             "engine_items_rejected_total",
-            "Items in batches rejected by the raise/block overload policies",
+            "Items in batches rejected by the raise overload policy",
         )
         self._flush_hist = reg.histogram(
             "engine_flush_seconds", "Buffer drain duration", buckets=_FLUSH_BUCKETS

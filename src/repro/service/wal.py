@@ -16,9 +16,9 @@ has two backends with one record shape, ``(side, keys)``:
 
 The append-before-stamp ordering is what makes replay exact:
 
-* rejected and turned-away arrivals (``raise`` / ``block`` /
-  ``shed_newest``) never reach the log, so a replayed stream is
-  precisely the admitted stream.  ``shed_oldest`` evicts buffered items
+* rejected and turned-away arrivals (``raise`` / ``shed_newest``)
+  never reach the log, so a replayed stream is precisely the admitted
+  stream.  ``shed_oldest`` evicts buffered items
   *after* they were logged; the engine records those evictions for
   worker replay, but they are not durable, so ``recover_engine`` under
   ``shed_oldest`` replays them;

@@ -9,7 +9,7 @@ must hold at *every* observable moment — mid-burst, with a shard down,
 after shedding, after kill + restart + replay.  These tests walk an
 engine through stall, kill and recover sequences (deterministic chaos,
 op-indexed) and assert the identity after each step.  ``items_rejected``
-(raise/block policy) sits outside the identity by design: rejected
+(raise policy) sits outside the identity by design: rejected
 batches never enter the system at all.
 """
 

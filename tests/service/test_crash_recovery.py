@@ -176,13 +176,17 @@ class TestKillAnywhereBitIdentical:
 
 
 class TestOldManifestsRecover:
-    """Manifests written while the engine still had a flush-transport
-    setting carry ``"transport"`` in their stored config; they recover
-    exactly as before, whatever transport they named."""
+    """Manifests written by older versions recover exactly as before:
+    ones that carry the removed flush-transport setting, whatever
+    transport they named, and ones saved under the removed ``"block"``
+    overload policy, which now reads as ``"raise"``."""
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_manifest_with_transport_key_recovers_bit_identical(
-            self, tmp_path, transport):
+    def recover_rewritten(self, tmp_path, edit):
+        """Crash a CM engine, rewrite its newest manifest's stored
+        config with ``edit`` as an older version wrote it, re-sealing
+        its self-checksum the way save_checkpoint does, and recover.
+        Returns the recovered engine and the crash-free run's
+        (state, clock)."""
         ops = script("cm")
         want, clock = reference_state("cm", tmp_path, ops)
         root = tmp_path / "crash"
@@ -192,23 +196,51 @@ class TestOldManifestsRecover:
         run_ops(harness, ops, root / "ckpt")
         with pytest.raises(SimulatedCrash):
             harness.kill()
-        # rewrite the newest manifest as an older version wrote it,
-        # re-sealing its self-checksum the way save_checkpoint does
         manifest = latest_checkpoint(root / "ckpt") / "MANIFEST.json"
         meta = json.loads(manifest.read_text())
-        assert "transport" not in meta["config"]
         meta.pop("manifest_crc")
-        meta["config"]["transport"] = transport
+        edit(meta["config"])
         crc, variant = checksum(json.dumps(meta, sort_keys=True).encode())
         meta["manifest_crc"] = {"crc": crc, "variant": variant}
         manifest.write_text(json.dumps(meta, indent=2))
-        rec = recover_engine(root / "ckpt")
+        return recover_engine(root / "ckpt"), want, clock
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_manifest_with_transport_key_recovers_bit_identical(
+            self, tmp_path, transport):
+        def edit(config):
+            assert "transport" not in config
+            config["transport"] = transport
+
+        rec, want, clock = self.recover_rewritten(tmp_path, edit)
         try:
             assert rec.now() == clock
             assert rec.wal_status()["replayed_items"] > 0
             assert_same_state(state_of(rec), want)
         finally:
             rec.close()
+
+    def test_manifest_with_block_policy_recovers_as_raise(self, tmp_path):
+        def edit(config):
+            assert "block_timeout_s" not in config
+            config["overload_policy"] = "block"
+            config["block_timeout_s"] = 2.0
+
+        rec, want, clock = self.recover_rewritten(tmp_path, edit)
+        try:
+            assert rec.config.overload_policy == "raise"
+            assert "block_timeout_s" not in rec.config.to_json()
+            assert rec.now() == clock
+            assert rec.wal_status()["replayed_items"] > 0
+            assert_same_state(state_of(rec), want)
+        finally:
+            rec.close()
+        # built directly, the retired policy is an error naming the
+        # three that remain
+        with pytest.raises(ValueError, match="shed_newest") as exc:
+            EngineConfig("cm", window=64, size=64, overload_policy="block")
+        for policy in ("raise", "shed_oldest", "shed_newest"):
+            assert policy in str(exc.value)
 
 
 class TestWeakerFsyncLosesAtMostTheTail:

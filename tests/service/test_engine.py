@@ -181,54 +181,23 @@ class TestShardInvariance:
 
 
 class TestIngestOne:
-    """The scalar fast path must be indistinguishable from 1-item batches."""
-
-    def test_ingest_one_matches_batched_ingest(self, stream):
-        one = make_engine("cm", 2048, 1024, 4, seed=7)
-        batched = make_engine("cm", 2048, 1024, 4, seed=7)
-        for k in stream[:4000]:
-            one.ingest_one(int(k))
-            batched.ingest(np.asarray([k], dtype=np.uint64))
-        one.flush()
-        batched.flush()
-        probes = np.unique(stream[:4000])[:200]
-        assert np.array_equal(
-            one.frequency_many(probes), batched.frequency_many(probes)
-        )
-        assert one.stats_snapshot(tick=False)["items_ingested"] == 4000
-        assert one.now() == batched.now() == 4000
-
-    def test_ingest_one_interleaves_with_batches(self, stream):
-        mixed = make_engine("cm", 2048, 1024, 4, seed=7)
-        batched = make_engine("cm", 2048, 1024, 4, seed=7)
-        for lo in range(0, 6000, 1500):
-            chunk = stream[lo:lo + 1500]
-            for k in chunk[:100]:
-                mixed.ingest_one(int(k))
-            mixed.ingest(chunk[100:])
-            batched.ingest(chunk)
-        mixed.flush()
-        batched.flush()
-        probes = np.unique(stream[:6000])[:200]
-        assert np.array_equal(
-            mixed.frequency_many(probes), batched.frequency_many(probes)
-        )
+    """One-key arrivals: ``insert(key)`` is ``ingest([key])``."""
 
     def test_ingest_one_two_stream_sides(self):
         eng = make_engine("mh", 1024, 64, 2, seed=5)
         for k in range(500):
-            eng.ingest_one(k, side=k % 2)
+            eng.ingest([k], side=k % 2)
         eng.flush()
         assert eng.now(0) == 250 and eng.now(1) == 250
         with pytest.raises(ValueError, match="side"):
-            eng.ingest_one(3)
+            eng.ingest([3])
 
     def test_ingest_one_rejects_non_integers(self):
         eng = make_engine("cm", 2048, 1024, 2, seed=7)
         with pytest.raises(TypeError, match="integers"):
-            eng.ingest_one("seven")
+            eng.insert("seven")
 
-    def test_insert_alias_uses_fast_path(self, stream):
+    def test_insert_alias_matches_batched_ingest(self, stream):
         via_insert = make_engine("cm", 2048, 1024, 4, seed=7)
         via_batch = make_engine("cm", 2048, 1024, 4, seed=7)
         for k in stream[:2000]:
@@ -241,6 +210,8 @@ class TestIngestOne:
             via_insert.frequency_many(probes),
             via_batch.frequency_many(probes),
         )
+        assert via_insert.stats_snapshot(tick=False)["items_ingested"] == 2000
+        assert via_insert.now() == via_batch.now() == 2000
 
 
 class TestTwoStream:

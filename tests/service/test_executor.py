@@ -90,10 +90,11 @@ class TestLifecycle:
         ex = ProcessExecutor(shards, num_workers=2)
         try:
             keys = np.arange(10, dtype=np.uint64)
-            ex.flush(0, keys, np.arange(10, dtype=np.int64))
+            times = np.arange(10, dtype=np.int64)
+            ex.flush_many([(0, keys, times, None)])
             with pytest.raises(RuntimeError, match="shard worker failed"):
                 # rewinding times is invalid -> the worker reports it
-                ex.flush(0, keys, np.arange(10, dtype=np.int64))
+                ex.flush_many([(0, keys, times, None)])
         finally:
             ex.close()
 
@@ -114,9 +115,10 @@ class TestLifecycle:
                              num_workers=2)
         try:
             keys = np.arange(10, dtype=np.uint64)
-            ex.flush(1, keys, np.arange(10, dtype=np.int64))
+            times = np.arange(10, dtype=np.int64)
+            ex.flush_many([(1, keys, times, None)])
             with pytest.raises(ShardFailedError) as exc_info:
-                ex.flush(1, keys, np.arange(10, dtype=np.int64))
+                ex.flush_many([(1, keys, times, None)])
             assert exc_info.value.shard_ids == (1,)
             assert exc_info.value.worker_id == 1
             # a data error left the worker alive and trustworthy
@@ -147,10 +149,11 @@ class TestFailureSurface:
             proc.join(timeout=5)
             assert not ex.is_worker_alive(1)
             keys = np.arange(4, dtype=np.uint64)
+            times = np.arange(4, dtype=np.int64)
             with pytest.raises(ShardDeadError) as exc_info:
-                ex.flush(1, keys, np.arange(4, dtype=np.int64))
+                ex.flush_many([(1, keys, times, None)])
             assert 1 in exc_info.value.worker_ids
-            ex.flush(0, keys, np.arange(4, dtype=np.int64))  # others fine
+            ex.flush_many([(0, keys, times, None)])  # others fine
         finally:
             ex.close()
 
@@ -218,12 +221,12 @@ class TestFailureSurface:
         try:
             keys = np.arange(8, dtype=np.uint64)
             times = np.arange(8, dtype=np.int64)
-            ex.flush(0, keys, times)
+            ex.flush_many([(0, keys, times, None)])
             ex.restart_worker(
                 0, {s: SheCountMin(256, 512, seed=7) for s in (0, 2)}
             )
             assert ex.snapshot(0).frequency(1, 7) == 0  # state was replaced
-            ex.flush(0, keys, times)
+            ex.flush_many([(0, keys, times, None)])
             assert ex.snapshot(0).frequency(1, 7) == 1
         finally:
             ex.close()

@@ -44,10 +44,11 @@ class TestKillInjection:
                            kill_worker_after_ops=3, kill_worker_id=0)
         keys, times = keys_times(8)
         try:
-            ex.flush(0, keys, times)      # op 1
-            ex.flush(1, keys, times)      # op 2
+            later = np.arange(8, 16, dtype=np.int64)
+            ex.flush_many([(0, keys, times, None)])  # op 1
+            ex.flush_many([(1, keys, times, None)])  # op 2
             with pytest.raises(ShardDeadError):
-                ex.flush(0, keys, np.arange(8, 16, dtype=np.int64))  # op 3: kill
+                ex.flush_many([(0, keys, later, None)])  # op 3: kill
             assert ex.kills == [(3, 0)]
             with pytest.raises(ShardDeadError):
                 ex.snapshot(0)            # stays dead until restarted
@@ -59,7 +60,7 @@ class TestKillInjection:
         keys, times = keys_times(4)
         try:
             with pytest.raises(ShardDeadError):
-                ex.flush(1, keys, times)
+                ex.flush_many([(1, keys, times, None)])
             assert ex.kills == [(1, 0)]   # serial: everything is worker 0
         finally:
             ex.close()
@@ -70,9 +71,9 @@ class TestKillInjection:
         keys, times = keys_times(4)
         try:
             with pytest.raises(ShardDeadError):
-                ex.flush(0, keys, times)
+                ex.flush_many([(0, keys, times, None)])
             ex.restart_worker(0, dict(enumerate(make_shards())))
-            ex.flush(0, keys, times)
+            ex.flush_many([(0, keys, times, None)])
             assert ex.snapshot(0).frequency(1, 3) >= 1
         finally:
             ex.close()
@@ -84,10 +85,11 @@ class TestKillInjection:
         keys, times = keys_times(4)
         try:
             with pytest.raises(ShardDeadError):
-                ex.flush(1, keys, times)
+                ex.flush_many([(1, keys, times, None)])
             assert not ex.is_worker_alive(1)
             assert ex.is_worker_alive(0)
-            ex.flush(0, keys, times)      # surviving worker unaffected
+            # the surviving worker is unaffected
+            ex.flush_many([(0, keys, times, None)])
         finally:
             ex.close()
 
@@ -109,7 +111,7 @@ class TestDelayAndDropAck:
         try:
             t0 = time.monotonic()
             with pytest.raises(ShardTimeoutError) as exc_info:
-                ex.flush(0, keys, times)
+                ex.flush_many([(0, keys, times, None)])
             elapsed = time.monotonic() - t0
             assert elapsed < 1.5, f"deadline not enforced: {elapsed:.2f}s"
             assert exc_info.value.timeout_s == pytest.approx(0.3)
@@ -123,7 +125,7 @@ class TestDelayAndDropAck:
         keys, times = keys_times(4)
         try:
             with pytest.raises(ShardTimeoutError):
-                ex.flush(0, keys, times)
+                ex.flush_many([(0, keys, times, None)])
             # the stale ack may still be in the pipe: nothing this worker
             # says can be trusted until it is restarted
             with pytest.raises(ShardDeadError, match="untrusted"):
@@ -138,11 +140,13 @@ class TestDelayAndDropAck:
         keys, times = keys_times(4)
         try:
             with pytest.raises(ShardTimeoutError):
-                ex.flush(0, keys, times)  # applied server-side, ack dropped
+                # applied server-side, ack dropped
+                ex.flush_many([(0, keys, times, None)])
             with pytest.raises(ShardDeadError):
                 ex.snapshot(0)            # worker 0 poisoned
             ex.restart_worker(0, {0: make_shards()[0]})
-            ex.flush(0, keys, times)      # rebuilt from scratch: one insert
+            # rebuilt from scratch: one insert
+            ex.flush_many([(0, keys, times, None)])
             assert ex.snapshot(0).frequency(1, 3) == 1
         finally:
             ex.close()

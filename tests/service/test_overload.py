@@ -11,7 +11,6 @@ through each policy, and asserts both the item bound and a tracemalloc
 memory ceiling.
 """
 
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -87,10 +86,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="overload_policy"):
             cfg(overload_policy="drop_table")
 
-    def test_block_timeout_positive(self):
-        with pytest.raises(ValueError, match="block_timeout_s"):
-            cfg(block_timeout_s=0.0)
-
     def test_budget_fields_round_trip_via_json(self):
         c = cfg(max_buffered_items=32, overload_policy="shed_oldest",
                 down_retention_items=8)
@@ -147,6 +142,18 @@ class TestRaisePolicy:
         snap = assert_conserved(eng)
         assert snap["items_rejected"] == 0
         assert snap["items_flushed"] > 0
+
+    def test_relief_flush_makes_room_under_per_shard_budget(self):
+        # live shards: the one relief flush makes room immediately, so
+        # a per-shard budget far below the stream rejects nothing
+        c = cfg(max_buffered_items=16, flush_batch_size=10**9,
+                overload_policy="raise")
+        eng = StreamEngine(c)
+        for lo in range(0, 1000, 40):
+            eng.ingest(np.arange(lo, lo + 40, dtype=np.uint64))
+        snap = assert_conserved(eng)
+        assert snap["items_rejected"] == 0
+        assert eng.now() == 1000
 
 
 class TestShedPolicies:
@@ -230,34 +237,6 @@ class TestShedPolicies:
         ans = eng.frequency_many(hot[:2], strict=False)
         assert ans.shed_shards == ()
         assert not ans.degraded and ans.caveat is None
-
-
-class TestBlockPolicy:
-    def test_blocks_then_escalates(self):
-        fake = itertools.count(0.0, 0.25)
-        sleeps = []
-        c = cfg(max_buffered_items=16, overload_policy="block",
-                block_timeout_s=1.0)
-        eng = StreamEngine(
-            c, clock=lambda: next(fake), sleep=sleeps.append,
-        )
-        eng._down.add(3)
-        hot = keys_for_shard(3, c)
-        with pytest.raises(EngineOverloadedError) as exc:
-            eng.ingest(hot[:40])
-        assert exc.value.policy == "block"
-        assert sleeps  # it waited before escalating
-        assert eng.now() == 0  # still no ticks for the rejected batch
-
-    def test_block_admits_when_room_opens(self):
-        # live shards: the in-loop relief flush makes room immediately,
-        # so block never sleeps and everything is admitted
-        c = cfg(max_buffered_items=16, flush_batch_size=10**9,
-                overload_policy="block", block_timeout_s=0.05)
-        eng = StreamEngine(c, sleep=lambda s: pytest.fail("should not sleep"))
-        for lo in range(0, 1000, 40):
-            eng.ingest(np.arange(lo, lo + 40, dtype=np.uint64))
-        assert eng.stats_snapshot(tick=False)["items_rejected"] == 0
 
 
 class TestDownRetentionCap:
@@ -348,9 +327,9 @@ class TestSoakBoundedMemory:
         c = cfg(
             max_buffered_items=512, max_buffered_total=2048,
             down_retention_items=512, overload_policy=policy,
-            block_timeout_s=0.01, flush_batch_size=128,
+            flush_batch_size=128,
         )
-        eng = StreamEngine(c, sleep=lambda s: None)
+        eng = StreamEngine(c)
         eng._down.add(0)  # permanently stalled: never recovers
         rng = np.random.default_rng(11)
         stream = rng.integers(0, 1 << 20, size=SOAK_BURSTS * SOAK_BURST_SIZE,
@@ -362,7 +341,7 @@ class TestSoakBoundedMemory:
             try:
                 eng.ingest(burst)
             except EngineOverloadedError:
-                pass  # raise/block: the caller backs off
+                pass  # raise: the caller backs off
             assert sum(eng.queue_depths()) <= 2048
             assert eng.queue_depths()[0] <= 512
         current, peak = tracemalloc.get_traced_memory()

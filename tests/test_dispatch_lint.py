@@ -38,6 +38,17 @@ per-kind fan-in choice (``query_fanin``) nor the engine's three
 separate read routines it replaced are named under ``src/``.  The
 ``query_fanin`` latency stage keeps its name, so that name is allowed
 as a string.
+
+A sixth rule keeps one way for a batch to reach a shard.  Every arrival
+goes through ``StreamEngine.ingest`` and every flush through the
+executors' ``send_many`` / ``settle`` / ``flush_many``; admission
+control checks, relief-flushes once and checks again, with no wait.
+So the scalar ingest fork (``ingest_one`` and its buffer staging
+``append_one``), the ``"block"`` policy's ``block_timeout_s`` and the
+``sleep`` argument of ``StreamEngine.__init__``, the pre-registry
+``_KindsView``, and a single-batch ``def flush`` in the executor
+classes are all gone from ``src/``.  ``"block_timeout_s"`` stays a
+retired config key old manifests carry, so it is allowed as a string.
 """
 
 import ast
@@ -109,6 +120,21 @@ REMOVED_READ_NAMES = {
 
 #: the removed descriptor field; as a string it is the stage name
 REMOVED_FANIN_FIELD = "query_fanin"
+
+#: the scalar ingest fork, its buffer staging, the ``"block"`` policy's
+#: wait bound and the pre-registry kinds view
+REMOVED_SURFACE_NAMES = {
+    "ingest_one",
+    "append_one",
+    "block_timeout_s",
+    "_KindsView",
+}
+
+#: the modules whose classes may not define a single-batch ``flush``
+EXECUTOR_MODULES = {
+    SRC / "repro" / "service" / "executor.py",
+    SRC / "repro" / "service" / "faults.py",
+}
 
 
 def _names_in(node: ast.expr):
@@ -401,3 +427,75 @@ def test_read_path_lint_detects_violations(tmp_path):
     assert any("_synced_read" in f for f in found)
     assert any("_surviving_snapshots" in f for f in found)
     assert any("_degraded_merged" in f for f in found)
+
+
+def _batch_path_violations(path: Path, executor_module: bool) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        if not isinstance(node, ast.Constant):
+            for name in _identifiers(node):
+                if name in REMOVED_SURFACE_NAMES:
+                    found.append(f"{path}:{line}: removed name {name}")
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if executor_module and item.name == "flush":
+                found.append(
+                    f"{path}:{item.lineno}: {node.name} defines flush"
+                )
+            if node.name == "StreamEngine" and item.name == "__init__":
+                args = item.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                if any(a.arg == "sleep" for a in params):
+                    found.append(
+                        f"{path}:{item.lineno}: StreamEngine.__init__ "
+                        "takes sleep"
+                    )
+    return found
+
+
+def test_batches_have_one_way_to_a_shard():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        offenders.extend(
+            _batch_path_violations(path, path in EXECUTOR_MODULES)
+        )
+    assert not offenders, (
+        "arrivals go through StreamEngine.ingest and flushes through "
+        "send_many/settle/flush_many; the scalar fork, the block policy's "
+        "wait and the single-batch executor flush are gone:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_batch_path_lint_detects_violations(tmp_path):
+    """The rule is live: the fork, the wait, the kinds view and an
+    executor's single-batch flush are caught."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "class StreamEngine:\n"
+        "    def __init__(self, config, *, sleep=time.sleep):\n"
+        "        self.config = config\n"
+        "    def ingest_one(self, key):\n"
+        "        self._buffers[0].append_one(key, 0)\n"
+        "class _KindsView(Mapping):\n"
+        "    pass\n"
+        "class SerialExecutor:\n"
+        "    def flush(self, shard_id, keys, times):\n"
+        "        pass\n"
+        "def flush():\n"
+        "    return EngineConfig('cm', block_timeout_s=2.0)\n"
+        "RETIRED = frozenset({'block_timeout_s'})\n"
+        "# engine.ingest_one(7) in a comment is fine\n"
+    )
+    found = _batch_path_violations(bad, executor_module=True)
+    assert len(found) == 6
+    assert any("takes sleep" in f for f in found)
+    assert any("SerialExecutor defines flush" in f for f in found)
+    assert sum("removed name" in f for f in found) == 4
+    assert any("block_timeout_s" in f for f in found)
+    assert len(_batch_path_violations(bad, executor_module=False)) == 5
