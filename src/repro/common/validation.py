@@ -16,6 +16,7 @@ __all__ = [
     "require_positive_float",
     "require_in_range",
     "as_key_array",
+    "as_index_array",
 ]
 
 
@@ -63,10 +64,30 @@ def require_in_range(name: str, value, low: float, high: float, *, inclusive: bo
 
 
 def as_key_array(keys) -> np.ndarray:
-    """Coerce a sequence of integer keys to a 1-D ``uint64`` array."""
+    """Coerce a sequence of integer keys to a 1-D ``uint64`` array.
+
+    A size-0 input is an empty batch whatever its dtype (``np.asarray([])``
+    is ``float64``): it comes back as an empty ``uint64`` array.
+    """
     arr = np.asarray(keys)
+    if arr.size == 0:
+        return np.empty(0, dtype=np.uint64)
     if arr.dtype.kind not in "iu":
         raise TypeError(f"keys must be integers, got dtype {arr.dtype}")
     if arr.ndim != 1:
         arr = arr.reshape(-1)
     return arr.astype(np.uint64, copy=False)
+
+
+def as_index_array(indices) -> np.ndarray:
+    """Cell indices as ``int64``, without a copy where possible.
+
+    Fancy indexing and ``take`` cast every other index dtype to
+    ``int64`` on each call, which makes ``uint64`` gathers and scatters
+    2-3x slower.  Hashed indices are far below ``2**63``, so unsigned
+    ones reinterpret for free; other integer dtypes are converted.
+    """
+    arr = np.asarray(indices)
+    if arr.dtype == np.uint64:
+        return arr.view(np.int64)
+    return arr.astype(np.int64, copy=False)

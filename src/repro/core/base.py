@@ -213,7 +213,8 @@ class SheSketchBase:
                 f"times must start at or after the clock ({self.t}), "
                 f"got {int(times[0])}"
             )
-        if np.any(np.diff(times) < 0):
+        # shifted views: one compare, no int64 temporary
+        if (times[1:] < times[:-1]).any():
             raise ValueError("times must be non-decreasing")
         self._insert_at(arr, times)
         self.t = int(times[-1]) + 1

@@ -36,8 +36,15 @@ keyed by ``(parity, cell)`` fills a ``2M`` workspace, and each group
 keeps its late row (touches after its flip) if it has one, else its
 early row — O(M) work after the one pass, and touch order never
 matters.  Smaller pieces, and MAX_RANK / MIN_HASH ones, are
-*scattered*: per-touch parities, a last-parity scatter, and the
-survivors (or, for ADD_ONE, every touch minus the discarded prefix).
+*scattered*, in O(touches) with no pass over all ``G`` groups.  A
+group resets in a piece iff one of its touches has a parity different
+from its stored mark, whatever the touch order, so the reset rows are
+``gids[parity != marks[gids]]``, deduplicated in O(rows) through an
+uninitialised ``int64`` scratch over groups (each group's slot keeps
+one stale touch's position).  One scatter ``marks[gids] = parity``
+leaves each touched group on its last parity (item-major order writes
+it last), and the survivors are the touches whose parity equals their
+group's new mark.
 
 Software frame (sweeping cleaner).  A write to cell ``j`` at time
 ``t_i`` survives to the end of the batch iff the sweeper does not cross
@@ -63,7 +70,7 @@ insert goes through:
 
 * on one 8192-item, 8-hash SHE-CM piece (M = 8192, touch-major) that
   straddles a cycle boundary the counted path costs ~350 µs against
-  ~700 µs for the scattered path on the same piece: the mark split
+  ~700 µs measured for the scattered path it replaced: the mark split
   ~25, the composite key ``cell + M·parity`` ~110 (four ``int64``
   passes), the ``np.add.at`` count ~145, and ~70 for the per-group
   work and ``cells += surv`` (best of 300 calls, 2-CPU host, NumPy
@@ -81,9 +88,24 @@ insert goes through:
   values in a piece, split by one search), and touches compare their
   group ids — or, counted, their cells against ``n·w`` — with it;
 * with one touch per time (SHE-BM, SHE-HLL) per item is per touch, and
-  the scattered path's offset gather plus an arithmetic shift
-  (``Tcycle`` a power of two; exact for int64 under floor semantics,
-  including negative phases) measured faster than the per-item split;
+  the scattered path's offset gather measured faster than the per-item
+  split; in a piece ``(t + d_gid) // Tcycle`` takes one of three
+  consecutive values, so the parity is one unsigned range compare, with
+  no per-touch division;
+* the scattered path takes touch subsets as ``take(flatnonzero(mask))``:
+  on masks as irregular as its stale and surviving touches a boolean
+  index costs three to four times as much;
+* per scattered piece, the previous kernel (G-sized last-parity,
+  flip and clean masks) against this one: the median per-piece time
+  ratio over 600 pieces run alternately by both in one process (2-CPU
+  host, NumPy 2.4), with ``G >> T``: SHE-BF, 256 items × 8 hashes in
+  ``G = 16384`` groups, 0.63–0.69 (~85 → ~54 µs); SHE-HLL, 8192
+  touches in ``G = 16384``, 0.59–0.64 (~200 → ~120 µs); SHE-CM, 32 × 8
+  in ``G = 1024``, 0.77–0.84.  At ``T ≈ G`` (SHE-HLL, 4096 touches in
+  ``G = 2048``) 0.97–1.02 (~90 µs both) and at ``T >> G`` (SHE-BM,
+  4096 in ``G = 128``) 0.93–0.99 (~100 → ~95 µs): there the old
+  G-sized passes were cheap, and deduplicating many stale touches per
+  group costs about what they did;
 * group ids use a shift when the group width is a power of two.
 
 The per-item reference it must match bit for bit lives in the tests
@@ -94,19 +116,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.common.validation import as_index_array
 from repro.core.csm import UpdateKind
 from repro.core.hardware_frame import HardwareFrame
 from repro.core.software_frame import SoftwareFrame
 
 __all__ = ["apply_columnar"]
-
-
-def _pow2_shift(v: int) -> int | None:
-    """log2 of ``v`` when it is a positive power of two, else ``None``."""
-    v = int(v)
-    if v > 0 and (v & (v - 1)) == 0:
-        return v.bit_length() - 1
-    return None
 
 
 def _scatter(
@@ -176,30 +191,27 @@ def _touch_parity(
     if k == 1:
         # one touch per time: per item is per touch, and this offset
         # form measured at least as fast as the split below for it.
-        # gids are in-range by construction; mode="clip" skips the per-
-        # element bounds check, which is the bulk of np.take's cost
-        phase = np.take(frame.offsets, gids, mode="clip")
+        # Over a piece ``(t + d_gid) // Tcycle`` is one of q - 1, q and
+        # q + 1 (q = times[0] // Tcycle), so the parity is whether
+        # ``t + d_gid - q*Tcycle`` lies in [0, Tcycle), negated for
+        # even q: an unsigned compare, no per-touch division
+        tc = frame.t_cycle
+        q = int(times[0]) // tc
+        phase = frame.offsets.take(gids)
         phase += times
-        tc_shift = _pow2_shift(frame.t_cycle)
-        # floor-div by 2**s == arithmetic shift, and floor-mod by 2 ==
-        # low bit, for negative phases too
-        if tc_shift is not None:
-            np.right_shift(phase, tc_shift, out=phase)
-        else:
-            np.floor_divide(phase, frame.t_cycle, out=phase)
-        np.bitwise_and(phase, 1, out=phase)
-        return phase.astype(np.uint8)
+        phase -= q * tc
+        parity = phase.view(np.uint64) < tc
+        if not q & 1:
+            np.logical_not(parity, out=parity)
+        return parity.view(np.uint8)
     # k touches per item: the mark split once per item, broadcast over
     # the item's k groups as ``(gid >= n) ^ mark``
     n, mark, cut = frame._mark_split(times)
     parity = np.greater_equal(gids.reshape(-1, k), n[:, None])
     flip = parity[:cut] if mark else parity[cut:]
-    np.logical_not(flip, out=flip)
+    if flip.size:
+        np.logical_not(flip, out=flip)
     return parity.view(np.uint8).reshape(-1)
-
-
-# sentinel parity for groups no touch landed in; real parities are 0/1
-_UNTOUCHED = np.uint8(2)
 
 
 # update kinds whose surviving touches reduce to per-cell counts
@@ -288,7 +300,7 @@ def _apply_counted(
     np.copyto(rows[0], rows[1], where=last_parity.view(bool)[:, None])
     surv = counts[:m]
 
-    frame._reset_groups(cleaned)
+    frame._reset_groups(np.flatnonzero(cleaned))
     np.copyto(frame.marks, last_parity, where=touched)
     if kind is UpdateKind.ADD_ONE:
         # exact under modular cell arithmetic, any cell width
@@ -299,6 +311,19 @@ def _apply_counted(
         np.maximum(frame.cells, surv, out=frame.cells)
 
 
+def _distinct(rows: np.ndarray, tags: np.ndarray, num_groups: int) -> np.ndarray:
+    """The different group ids in ``rows``, once each, in O(rows): in an
+    uninitialised scratch over groups, each id's slot keeps the tag of
+    exactly one of its writers (``tags``: distinct ``int64``).  The
+    scratch matches the tags' dtype, since an ``int32`` one measured
+    slower for its casts."""
+    if rows.size < 2:
+        return rows
+    slot = np.empty(num_groups, dtype=np.int64)
+    slot[rows] = tags
+    return rows.take(np.flatnonzero(slot.take(rows) == tags))
+
+
 def _apply_scattered(
     frame: HardwareFrame,
     times: np.ndarray,
@@ -307,64 +332,49 @@ def _apply_scattered(
     kind: UpdateKind,
 ) -> None:
     """One ``CheckGroup``-and-scatter pass over a batch that spans less
-    than ``Tcycle`` (a :func:`_tcycle_pieces` piece)."""
-    gw_shift = _pow2_shift(frame.group_width)
-    if gw_shift is not None:
-        gids = np.right_shift(cell_idx, gw_shift)
-    else:
-        gids = np.floor_divide(cell_idx, frame.group_width)
+    than ``Tcycle`` (a :func:`_tcycle_pieces` piece), in O(touches):
+    nothing here runs over all ``G`` groups."""
+    gids = frame.group_of(cell_idx)
     parity = _touch_parity(frame, times, gids)
 
-    g32 = frame.num_groups
-    last_parity = np.full(g32, _UNTOUCHED, dtype=np.uint8)
-    last_parity[gids] = parity
-    touched = last_parity != _UNTOUCHED
+    marks = frame.marks
+    # a group resets iff one of its touches differs from its stored mark
+    stale = np.flatnonzero(marks.take(gids) != parity)
+    rows = gids.take(stale)
+    # the stale touches' positions tag them apart for the dedup
+    frame._reset_groups(_distinct(rows, stale, frame.num_groups))
+    # the last write per group wins, and item-major touches end on each
+    # group's latest: every touched mark now holds its last parity
+    marks[gids] = parity
 
-    opposite = parity != last_parity[gids]
-    n_opp = int(np.count_nonzero(opposite))
-
-    surv_idx: np.ndarray | None = None  # None == every touch survives
-    undo_idx: np.ndarray | None = None  # ADD_ONE-only deferred removal
-    if n_opp == 0:
-        # No group flipped parity inside this batch: every touch
-        # survives, and each group's first parity == its last.
-        cleaned = touched & (frame.marks != last_parity)
-    else:
-        # Each group crosses at most one parity boundary, so the
-        # opposite-parity touches are exactly each flipped group's
-        # prefix: survivors are ``~opposite`` and the first parity is
-        # the last xored with the flip.
-        opp_pos = np.flatnonzero(opposite)
-        flipped = np.zeros(g32, dtype=np.uint8)
-        flipped[gids.take(opp_pos)] = 1
-        first_parity = last_parity ^ flipped
-        cleaned = touched & (
-            flipped.view(bool) | (frame.marks != first_parity)
-        )
-        if kind is UpdateKind.ADD_ONE:
-            # cheaper than compressing the survivors: scatter every
-            # touch, then subtract the few opposite ones back out —
-            # exact under modular cell arithmetic
-            undo_idx = cell_idx.take(opp_pos)
-        else:
-            surv_idx = np.flatnonzero(~opposite)
-
-    frame._reset_groups(cleaned)
-    # equivalent to ``frame.marks[gids] = parity`` (last write per group
-    # wins) without re-reading the per-touch arrays
-    np.putmask(frame.marks, touched, last_parity)
-
-    if surv_idx is None:
+    # the survivors are the touches on their group's last parity: the
+    # rest are a flipped prefix, which the reset at the flip discards.
+    # With no reset at all no group flipped, and every touch survives
+    on_last = None
+    if rows.size:
+        on_last = marks.take(gids) == parity
+        if on_last.all():
+            on_last = None
+    if on_last is None:
         _scatter(frame.cells, cell_idx, values, kind)
-        if undo_idx is not None and undo_idx.size:
-            np.subtract.at(
-                frame.cells, undo_idx, frame.cells.dtype.type(1)
-            )
+    elif kind is UpdateKind.SET_ONE:
+        # SET_ONE cells are 0/1 bits, empty 0: a prefix touch writes 0
+        # into its reset group, and a later survivor on the same cell
+        # overwrites it with 1
+        frame.cells[cell_idx] = on_last.view(np.uint8)
+    elif kind is UpdateKind.ADD_ONE:
+        # cheaper than compressing the survivors: scatter every touch,
+        # then subtract the few prefix ones back out — exact under
+        # modular cell arithmetic
+        _scatter(frame.cells, cell_idx, values, kind)
+        prefix = cell_idx.take(np.flatnonzero(~on_last))
+        np.subtract.at(frame.cells, prefix, frame.cells.dtype.type(1))
     else:
+        keep = np.flatnonzero(on_last)
         _scatter(
             frame.cells,
-            cell_idx.take(surv_idx),
-            None if values is None else values.take(surv_idx),
+            cell_idx.take(keep),
+            values.take(keep),
             kind,
         )
 
@@ -409,7 +419,7 @@ def _apply_dense_hardware(
     flipped = e_last > e_first
     start = np.zeros(frame.num_groups, dtype=np.int64)
     start[flipped] = np.searchsorted(times, (e_last * tc - d)[flipped])
-    frame._reset_groups(flipped | (frame.marks != last_parity))
+    frame._reset_groups(np.flatnonzero(flipped | (frame.marks != last_parity)))
     frame.marks[:] = last_parity
     _min_suffixes(frame.cells, values, np.repeat(start, frame.group_width))
 
@@ -469,14 +479,7 @@ def apply_columnar(
         for lo, hi in _tcycle_pieces(times, frame.t_cycle):
             _apply_dense_hardware(frame, times[lo:hi], values[lo:hi])
         return
-    cell_idx = np.asarray(cell_idx)
-    # int64 indices skip NumPy's per-call index cast, which makes
-    # ``uint64`` scatters 2-3x slower; hashed indices are far below
-    # 2**63, so unsigned ones reinterpret for free
-    if cell_idx.dtype == np.uint64:
-        cell_idx = cell_idx.view(np.int64)
-    elif cell_idx.dtype != np.int64:
-        cell_idx = cell_idx.astype(np.int64)
+    cell_idx = as_index_array(cell_idx)
     if cell_idx.ndim == 2:
         if cell_idx.shape[1] != times.size:
             raise ValueError(

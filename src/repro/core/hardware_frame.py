@@ -11,6 +11,23 @@ time since its virtual cleaning instant — is ``(t + d_gid) mod Tcycle``.
 Inserts run ``CheckGroup`` in :func:`repro.core.batch.apply_columnar`,
 whole-array queries in :meth:`HardwareFrame.prepare_query_all`.
 
+Point reads need each touched group's age against a bound ``b`` (``N``
+for :meth:`~HardwareFrame.mature_mask`, ``beta*N`` for
+:meth:`~HardwareFrame.legal_mask`, ``0 <= b < Tcycle``).  With ``t =
+q*Tcycle + r`` and ``ceil_G(a) = ceil(a * G / Tcycle)``, the groups
+``gid < n = ceil_G(r + 1)`` have ``f = floor(Tcycle * gid / G) <= r`` and
+age ``r - f``; the rest have age ``r + Tcycle - f``.  ``f`` rises with
+``gid``, so a group is *young* (age ``< b``) iff
+
+* ``n1 <= gid < n`` with ``n1 = ceil_G(r + 1 - b)``, or
+* ``gid >= n2`` with ``n2 = ceil_G(r + 1 + Tcycle - b)``,
+
+two scalar bounds from ``divmod(t, Tcycle)``.  Only one run is ever
+non-empty at the top (``n2 < G`` forces ``n1 <= 0``), so the young set
+is one interval, possibly wrapping past ``G``, and a mask costs one
+subtraction and one unsigned compare per cell — no offset gather and
+no modulo.
+
 This reproduces on-demand + group cleaning exactly, including the known
 failure mode: a group untouched for two full cycles wraps its mark back
 to the current value and stale cells survive (quantified by Eq. 1;
@@ -21,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.validation import require_positive_int
+from repro.common.validation import as_index_array, require_positive_int
 from repro.core.config import SheConfig
 
 __all__ = ["HardwareFrame"]
@@ -98,15 +115,19 @@ class HardwareFrame:
         if isinstance(times, np.ndarray):
             q = int(times[0]) // tc
             n = times - q * tc  # r, in place from here on
-            cut = int(np.searchsorted(n, tc))
-            n[cut:] -= tc
+            if int(n[-1]) < tc:
+                cut = n.size  # most pieces cross no multiple of Tcycle
+            else:
+                cut = int(np.searchsorted(n, tc))
+                n[cut:] -= tc
         else:
             # Python ints: NumPy's per-call cost would dominate one time
             q, n = divmod(int(times), tc)
             cut = 1
-        n += 1
-        n *= self.num_groups
-        n += tc - 1
+        # ceil((r + 1) * G / Tcycle) = (r*G + G + Tcycle - 1) // Tcycle
+        g = self.num_groups
+        n *= g
+        n += g + tc - 1
         n //= tc
         return n, q & 1, cut
 
@@ -122,19 +143,45 @@ class HardwareFrame:
         return out
 
     def group_of(self, indices: np.ndarray) -> np.ndarray:
-        """Group id of each cell index."""
-        return np.asarray(indices, dtype=np.int64) // self.group_width
+        """Group id of each cell index (a fresh ``int64`` array)."""
+        idx = as_index_array(indices)
+        w = self.group_width
+        if w & (w - 1) == 0:
+            return np.right_shift(idx, w.bit_length() - 1)
+        return idx // w
+
+    def _aged_at_least(self, indices: np.ndarray, t: int, bound: int) -> np.ndarray:
+        """``ages(indices, t) >= bound`` for an integer ``0 <= bound <
+        Tcycle``, from group ids against the scalar bounds of the module
+        docstring: no offset gather, no per-cell modulo."""
+        gids = self.group_of(indices)
+        tc, g = self.t_cycle, self.num_groups
+        r = int(t) % tc
+
+        def first_after(a: int) -> int:
+            # groups gid < ceil(a*G/Tc) have floor(Tc*gid/G) < a
+            return -(-a * g // tc)
+
+        n = first_after(r + 1)
+        n2 = first_after(r + 1 + tc - bound)
+        if n2 < g:
+            # the young groups wrap round: [0, n) and [n2, G)
+            gids -= n
+            return gids.view(np.uint64) < n2 - n
+        n1 = first_after(r + 1 - bound)
+        # young: [n1, n)
+        gids -= n1
+        return gids.view(np.uint64) >= n - n1
 
     # -- frame protocol ----------------------------------------------------
 
-    def _reset_groups(self, stale: np.ndarray) -> None:
-        """Empty the groups a ``CheckGroup`` pass found stale (boolean
-        mask over groups) and count the pass; the caller stores marks."""
+    def _reset_groups(self, rows: np.ndarray) -> None:
+        """Empty the groups a ``CheckGroup`` pass found stale (distinct
+        group ids) and count the pass; the caller stores marks."""
         self.cleaning_checks += 1
-        # integer row indices: a boolean row mask on the 2-D view is
-        # several times slower to assign through
-        rows = np.flatnonzero(stale)
         if rows.size:
+            # integer row indices: a boolean row mask on the 2-D view is
+            # several times slower to assign through
             self.cells.reshape(self.num_groups, self.group_width)[rows] = self.empty_value
             self.groups_cleaned += int(rows.size)
             self.cells_cleaned += int(rows.size) * self.group_width
@@ -143,16 +190,17 @@ class HardwareFrame:
         """``CheckGroup`` over every group, in place, before a whole-array
         query (§3.3: groups are checked on insert and on query)."""
         cur = self._current_marks_all(t)
-        self._reset_groups(self.marks != cur)
+        self._reset_groups(np.flatnonzero(self.marks != cur))
         self.marks[:] = cur
 
     def read(self, indices: np.ndarray, t: int) -> np.ndarray:
         """``cells[indices]`` as cleaning the touched groups at ``t``
         would leave them, without writing the frame: a cell whose group
         is stale (stored mark != current mark) reads as empty."""
-        gids = self.group_of(indices)
-        stale = self.marks[gids] != self._current_marks(gids, t)
-        vals = self.cells[indices]
+        idx = as_index_array(indices)
+        gids = self.group_of(idx)
+        stale = self.marks.take(gids) != self._current_marks(gids, t)
+        vals = self.cells.take(idx)
         vals[stale] = self.empty_value
         return vals
 
@@ -179,11 +227,11 @@ class HardwareFrame:
 
     def mature_mask(self, indices: np.ndarray, t: int) -> np.ndarray:
         """True where the cell is perfect or aged (age >= N), §3.2."""
-        return self.ages(indices, t) >= self.window
+        return self._aged_at_least(indices, t, self.window)
 
     def legal_mask(self, indices: np.ndarray, t: int) -> np.ndarray:
         """True where the cell's age lies in the legal band [beta*N, Tcycle)."""
-        return self.ages(indices, t) >= self.config.legal_low
+        return self._aged_at_least(indices, t, self.config.legal_low)
 
     def legal_groups(self, t: int) -> np.ndarray:
         """Boolean mask over groups whose age is in the legal band."""

@@ -90,9 +90,10 @@ class SheBloomFilter(SheSketchBase):
         idx = self.hashes.indices(keys, self.num_bits).T  # (k, n)
         flat = idx.reshape(-1)
         mature = self.frame.mature_mask(flat, t).reshape(idx.shape)
-        bits = self.frame.read(flat, t).reshape(idx.shape).astype(bool)
-        # evidence of absence: a mature mapped bit that is 0
-        absent = np.any(mature & ~bits, axis=0)
+        bits = self.frame.read(flat, t).reshape(idx.shape)
+        # evidence of absence: a mature mapped bit that is 0 (bits hold
+        # 0/1, so ``mature > bits`` is ``mature & (bits == 0)``)
+        absent = np.any(mature > bits, axis=0)
         return ~absent
 
     def _probe_extra(self) -> dict:

@@ -1333,11 +1333,15 @@ class StreamEngine:
 
         def route(views: dict) -> np.ndarray:
             out = np.full(keys.shape, empty)
-            owners = shard_ids(keys, self.config.num_shards, self.config.shard_seed)
-            for s, view in views.items():
-                mine = owners == s
-                if mine.any():
-                    out[mine] = getattr(view, method)(keys[mine], self._t[0])
+            n = self.config.num_shards
+            owners = shard_ids(keys, n, self.config.shard_seed)
+            # the one partition routine, carrying each key's position in
+            # place of a time so answers land back in the caller's order
+            where = np.arange(keys.size, dtype=np.int64)
+            for s, keys_s, where_s in partition(keys, where, owners, n):
+                view = views.get(s)
+                if view is not None:
+                    out[where_s] = getattr(view, method)(keys_s, self._t[0])
             return out
 
         return self._answer(query, strict, route)

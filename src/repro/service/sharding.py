@@ -13,23 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.hashing import remainder_inplace, splitmix64, splitmix64_inplace
+from repro.common.hashing import remainder_inplace, splitmix64_inplace
 from repro.common.validation import require_positive_int
 
-__all__ = ["DEFAULT_SHARD_SEED", "shard_ids", "shard_of", "partition"]
+__all__ = ["DEFAULT_SHARD_SEED", "shard_ids", "partition"]
 
 DEFAULT_SHARD_SEED = 0x5EA2D_C0DE
-
-
-def shard_of(key: int, num_shards: int, seed: int = DEFAULT_SHARD_SEED) -> int:
-    """Owning shard of one key — the scalar twin of :func:`shard_ids`.
-
-    Bit-identical to ``shard_ids(np.asarray([key], dtype=np.uint64), ...)[0]``
-    without building the array.
-    """
-    if num_shards == 1:
-        return 0
-    return splitmix64((int(key) ^ seed) & 0xFFFFFFFFFFFFFFFF) % num_shards
 
 
 def shard_ids(keys: np.ndarray, num_shards: int, seed: int = DEFAULT_SHARD_SEED) -> np.ndarray:

@@ -99,3 +99,14 @@ class TestAsKeyArray:
     def test_no_copy_for_uint64(self):
         arr = np.arange(4, dtype=np.uint64)
         assert as_key_array(arr) is arr
+
+    @pytest.mark.parametrize(
+        "empty",
+        [[], (), np.array([]), np.empty((0, 3)), np.array([], dtype=np.int8)],
+        ids=["list", "tuple", "float64", "2-d", "int8"],
+    )
+    def test_empty_batch_is_uint64(self, empty):
+        # np.asarray([]) is float64: a size-0 batch is still a batch
+        out = as_key_array(empty)
+        assert out.dtype == np.uint64
+        assert out.shape == (0,)

@@ -78,6 +78,37 @@ class TestAges:
         assert np.array_equal(np.repeat(f.group_ages(t), 4), f.all_cell_ages(t))
 
 
+class TestMaturityBounds:
+    """``mature_mask`` / ``legal_mask`` compare group ids against scalar
+    bounds from ``divmod(t, Tcycle)``; they must equal the offset-and-
+    modulo ages against the same bound for every group at every time."""
+
+    @pytest.mark.parametrize(
+        "window,alpha,beta,w,groups",
+        [
+            (40, 0.3, 0.9, 3, 7),      # Tcycle 52, G 7
+            (10, 0.3, 0.5, 1, 50),     # Tcycle 13 < G 50: several groups a tick
+            (977, 0.37, 0.9, 8, 33),   # Tcycle 1338, G 33
+            (64, 1.0, 0.0, 5, 97),     # Tcycle 128, beta 0: legal everywhere
+            (100, 0.2, 1.0, 1, 120),   # Tcycle 120 == G, legal band == mature
+        ],
+    )
+    @pytest.mark.parametrize("base", [0, 12345, (1 << 40) + 17])
+    def test_bounds_equal_ages_over_two_cycles(self, window, alpha, beta, w, groups, base):
+        cfg = SheConfig(window=window, alpha=alpha, group_width=w, beta=beta)
+        f = HardwareFrame(cfg, w * groups)
+        tc = f.t_cycle
+        # every cell, so each group is seen through all its w cells
+        idx = np.arange(w * groups)
+        bounds = (0, cfg.window, cfg.legal_low, tc - 1)
+        for t in range(base, base + 2 * tc):
+            ages = f.ages(idx, t)
+            assert np.array_equal(f.mature_mask(idx, t), ages >= cfg.window), t
+            assert np.array_equal(f.legal_mask(idx, t), ages >= cfg.legal_low), t
+            for b in bounds:
+                assert np.array_equal(f._aged_at_least(idx, t, b), ages >= b), (t, b)
+
+
 class TestCleaning:
     """``CheckGroup`` as inserts run it (``apply_columnar``), as
     whole-array queries run it (``prepare_query_all``) and as point reads

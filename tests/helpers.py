@@ -6,13 +6,15 @@ software sweep *literally, one touch at a time*, and the equivalence
 tests assert the fast paths match them bit for bit.  ``clean_groups``
 runs ``CheckGroup`` in place on a real frame: the oracle point reads
 (``read``) are checked against.  ``partition`` is the masked-copy
-reference for the engine's argsort partition.
+reference for the engine's argsort partition, and ``shard_of`` the
+scalar reference for ``shard_ids``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.common.hashing import splitmix64
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 from repro.core.software_frame import SoftwareFrame
@@ -47,6 +49,8 @@ class NaiveHardwareFrame:
         self.empty_value = empty_value
         self.cells = [empty_value] * num_cells
         self.marks = [self._cur_mark(gid, 0) for gid in range(self.g)]
+        #: every group id ``check_group`` reset, in order
+        self.reset_log: list[int] = []
 
     def _cur_mark(self, gid: int, t: int) -> int:
         return ((t + self.offsets[gid]) // self.t_cycle) % 2
@@ -54,6 +58,7 @@ class NaiveHardwareFrame:
     def check_group(self, gid: int, t: int) -> None:
         cur = self._cur_mark(gid, t)
         if self.marks[gid] != cur:
+            self.reset_log.append(gid)
             self.marks[gid] = cur
             for j in range(gid * self.w, (gid + 1) * self.w):
                 self.cells[j] = self.empty_value
@@ -127,3 +132,11 @@ def partition(
     one boolean mask per shard, order within each shard preserved."""
     sids = shard_ids(keys, num_shards, seed)
     return [(keys[sids == s], times[sids == s]) for s in range(num_shards)]
+
+
+def shard_of(key: int, num_shards: int, seed: int = DEFAULT_SHARD_SEED) -> int:
+    """Owning shard of one key: the scalar oracle for ``shard_ids`` (one
+    splitmix64 round over ``key XOR seed``, then ``% num_shards``)."""
+    if num_shards == 1:
+        return 0
+    return splitmix64((int(key) ^ seed) & 0xFFFFFFFFFFFFFFFF) % num_shards

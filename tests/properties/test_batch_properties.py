@@ -7,7 +7,9 @@ under every update kind, window, alpha, group width, touch pattern and
 layout (one time per touch, or one per item with ``k`` touches, either
 item-major or as a touch-major ``(k, B)`` block), on pieces both below
 and at or above ``M`` touches (the kernel's scattered and counted
-paths) and on cells narrow enough to wrap.
+paths) and on cells narrow enough to wrap.  On the hardware frame the
+cleaning telemetry must match too: one ``CheckGroup`` pass per kernel
+piece, and the groups the reference resets inside a piece counted once.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.base import make_frame
-from repro.core.batch import apply_columnar
+from repro.core.batch import _tcycle_pieces, apply_columnar
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
@@ -29,12 +31,18 @@ def touch_sequences(draw):
     window = draw(st.integers(5, 60))
     alpha = draw(st.floats(0.1, 3.0))
     w = draw(st.sampled_from([1, 2, 3, 4, 5, 8]))
+    n = draw(st.integers(1, 120))
     # few groups: most hardware pieces have at least M touches (the
-    # counted path); many: most have fewer (the scattered path)
-    groups = draw(st.one_of(st.integers(1, 6), st.integers(20, 90)))
+    # counted path); more: most have fewer (the scattered path), with
+    # many touches per group, about one (T ~ G) or very few (T << G)
+    groups = draw(st.one_of(
+        st.integers(1, 6),
+        st.integers(20, 90),
+        st.integers(max(1, n // 2), 2 * n),
+        st.integers(500, 5000),
+    ))
     m = w * groups
     cfg = SheConfig(window=window, alpha=alpha, group_width=w)
-    n = draw(st.integers(1, 120))
     # up to ~200 Tcycles: batches the kernel splits into many pieces,
     # with gaps long enough for a group's mark to wrap (Eq. 1)
     span = draw(st.one_of(
@@ -45,6 +53,24 @@ def touch_sequences(draw):
     cells = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
     values = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
     return cfg, m, times, cells, values
+
+
+def _naive_pieces(naive, times, cells, values, kind, k, t_cycle):
+    """Feed the per-item reference one kernel piece at a time and return
+    the cleaning telemetry the kernel must report: one ``CheckGroup``
+    pass per piece, and each group reset in a piece counted once."""
+    checks = groups = 0
+    for lo, hi in _tcycle_pieces(np.asarray(times, dtype=np.int64), t_cycle):
+        start = len(naive.reset_log)
+        for i in range(lo * k, hi * k):
+            naive.touch(cells[i], times[i // k], kind, values[i])
+        checks += 1
+        groups += len(set(naive.reset_log[start:]))
+    return checks, groups, groups * naive.w
+
+
+def _telemetry(frame):
+    return frame.cleaning_checks, frame.groups_cleaned, frame.cells_cleaned
 
 
 @given(touch_sequences(), KINDS)
@@ -59,11 +85,11 @@ def test_hardware_batch_equals_algorithm1(seq, kind):
     c_arr = np.asarray(cells, dtype=np.int64)
     v_arr = np.asarray(values, dtype=np.int64)
     apply_columnar(fast, t_arr, c_arr, v_arr, kind)
-    for t, c, v in zip(times, cells, values):
-        naive.touch(c, t, kind, v)
+    want = _naive_pieces(naive, times, cells, values, kind, 1, cfg.t_cycle)
 
     assert fast.cells.tolist() == naive.cells
     assert fast.marks.tolist() == naive.marks
+    assert _telemetry(fast) == want
 
 
 @given(touch_sequences(), KINDS)
@@ -139,13 +165,15 @@ def test_item_major_batch_equals_reference(seq, kind, frame_kind, layout, dtype)
         c_arr = c_arr.reshape(-1, k).T.copy()
         v_arr = v_arr.reshape(-1, k).T.copy()
     apply_columnar(fast, np.asarray(times, dtype=np.int64), c_arr, v_arr, kind)
-    touch_times = [t for t in times for _ in range(k)]
-    for t, c, v in zip(touch_times, cells, values):
-        naive.touch(c, t, kind, v)
     if frame_kind == "software":
+        touch_times = [t for t in times for _ in range(k)]
+        for t, c, v in zip(touch_times, cells, values):
+            naive.touch(c, t, kind, v)
         naive.advance(times[-1])
     else:
+        want = _naive_pieces(naive, times, cells, values, kind, k, cfg.t_cycle)
         assert fast.marks.tolist() == naive.marks
+        assert _telemetry(fast) == want
 
     want = naive.cells if modulus is None else [c % modulus for c in naive.cells]
     assert fast.cells.tolist() == want

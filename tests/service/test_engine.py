@@ -214,6 +214,34 @@ class TestIngestOne:
         assert via_insert.now() == via_batch.now() == 2000
 
 
+class TestEmptyBatches:
+    """A size-0 batch is a no-op on every entry point, whatever the
+    dtype a bare ``[]`` brings (``np.asarray([])`` is float64)."""
+
+    def test_empty_ingest_and_point_queries(self, stream):
+        eng = make_engine("bf", 2048, 1 << 12, 4, seed=3)
+        eng.ingest(stream[:1000])
+        eng.ingest([])
+        eng.flush()
+        assert eng.now() == 1000
+        assert eng.stats_snapshot(tick=False)["items_ingested"] == 1000
+        got = eng.contains_many([])
+        assert got.dtype == bool and got.shape == (0,)
+        cm = make_engine("cm", 2048, 1024, 2, seed=7)
+        cm.ingest([])
+        assert cm.now() == 0
+        est = cm.frequency_many([])
+        assert est.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["bf", "cm"])
+    def test_empty_sketch_calls(self, kind):
+        sk = SheBloomFilter(256, 1024) if kind == "bf" else SheCountMin(256, 1024)
+        sk.insert_many([])
+        assert sk.now() == 0
+        query = sk.contains_many if kind == "bf" else sk.frequency_many
+        assert query([]).shape == (0,)
+
+
 class TestTwoStream:
     def test_mh_similarity_matches_unsharded(self):
         rng = np.random.default_rng(8)

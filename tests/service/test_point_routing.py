@@ -28,7 +28,7 @@ from repro.service import (
     Supervisor,
     shard_ids,
 )
-from repro.service.sharding import shard_of
+from helpers import shard_of
 
 WINDOW = 2048
 SHARD_COUNTS = (1, 2, 8)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.common.hashing import splitmix64
-from repro.service.sharding import DEFAULT_SHARD_SEED, partition, shard_ids, shard_of
+from repro.service.sharding import DEFAULT_SHARD_SEED, partition, shard_ids
+from helpers import shard_of
 
 
 @pytest.mark.parametrize("seed", [DEFAULT_SHARD_SEED, 7])
