@@ -230,8 +230,8 @@ class SheSketchBase:
 
         The per-kind hashing step, and the only hook an insert needs:
         :meth:`_insert_at` feeds these columns to the one apply kernel,
-        :func:`repro.core.batch.apply_columnar`.  ``times`` may stay
-        one per key, with ``cell_idx`` holding ``k`` touches per key
-        item-major or as the hashes' touch-major ``(k, n)`` block.
+        :func:`repro.core.batch.apply_columnar`.  ``times`` stays one
+        per key, and ``cell_idx`` is the hashes' touch-major ``(k, n)``
+        block (``(1, n)`` for one touch per key).
         """
         raise NotImplementedError

@@ -42,9 +42,9 @@ from its stored mark, whatever the touch order, so the reset rows are
 ``gids[parity != marks[gids]]``, deduplicated in O(rows) through an
 uninitialised ``int64`` scratch over groups (each group's slot keeps
 one stale touch's position).  One scatter ``marks[gids] = parity``
-leaves each touched group on its last parity (item-major order writes
-it last), and the survivors are the touches whose parity equals their
-group's new mark.
+leaves each touched group on its last parity (the piece is scattered
+item-major, so that is written last), and the survivors are the
+touches whose parity equals their group's new mark.
 
 Software frame (sweeping cleaner).  A write to cell ``j`` at time
 ``t_i`` survives to the end of the batch iff the sweeper does not cross
@@ -60,10 +60,10 @@ cell, so ``apply_columnar`` takes one ``(B, M)`` value block instead of
 a ``B x M`` touch list, and each cell keeps the minimum of its
 surviving suffix of items (one column-wise suffix-minimum pass).
 
-Touches come one time per touch, item-major (one time per item, its
-``k`` touches adjacent), or as a touch-major ``(k, B)`` block — the
-layout :class:`~repro.common.hashing.HashFamily` mixes in, which
-SHE-CM, SHE-BF and the generic sketch pass through without a copy.
+Touches come in one layout: one time per item and a touch-major
+``(k, B)`` block (``k = 1``: one touch per time) — the layout
+:class:`~repro.common.hashing.HashFamily` mixes in, which every sketch
+passes through without a copy.
 
 Throughput notes for :func:`apply_columnar`, the single kernel every
 insert goes through:
@@ -87,11 +87,12 @@ insert goes through:
   (one per-item ``int64`` buffer, updated in place; ``q`` takes two
   values in a piece, split by one search), and touches compare their
   group ids — or, counted, their cells against ``n·w`` — with it;
-* with one touch per time (SHE-BM, SHE-HLL) per item is per touch, and
-  the scattered path's offset gather measured faster than the per-item
-  split; in a piece ``(t + d_gid) // Tcycle`` takes one of three
-  consecutive values, so the parity is one unsigned range compare, with
-  no per-touch division;
+* with one touch per time (SHE-BM, SHE-HLL) each touch derives its
+  ``d_gid``; in a piece ``(t + d_gid) // Tcycle`` takes one of three
+  values, so the parity is one unsigned range compare.  Against a
+  gather from a stored offset table (per piece, 2-CPU host): 1–3 µs
+  more at 512–2048 touches, less from 8192 on (~230 against ~325 µs at
+  65536, ``G = 16384``); the per-item split measured 10–35% slower;
 * the scattered path takes touch subsets as ``take(flatnonzero(mask))``:
   on masks as irregular as its stale and surviving touches a boolean
   index costs three to four times as much;
@@ -186,19 +187,19 @@ def _touch_parity(
 ) -> np.ndarray:
     """Current mark (``uint8``) of each touch's group at its time, over
     a piece that spans less than ``Tcycle``; ``times`` holds one time
-    per touch or, item-major, one per item of ``k`` touches."""
+    per item and ``gids`` its ``k`` touches' groups, item-major."""
     k = gids.size // times.size
     if k == 1:
-        # one touch per time: per item is per touch, and this offset
-        # form measured at least as fast as the split below for it.
+        # one touch per time: per item is per touch, and this form
+        # measured faster than the split below for it.
         # Over a piece ``(t + d_gid) // Tcycle`` is one of q - 1, q and
         # q + 1 (q = times[0] // Tcycle), so the parity is whether
         # ``t + d_gid - q*Tcycle`` lies in [0, Tcycle), negated for
         # even q: an unsigned compare, no per-touch division
         tc = frame.t_cycle
         q = int(times[0]) // tc
-        phase = frame.offsets.take(gids)
-        phase += times
+        phase = frame._phase(gids)  # -d_gid
+        np.subtract(times, phase, out=phase)
         phase -= q * tc
         parity = phase.view(np.uint64) < tc
         if not q & 1:
@@ -226,18 +227,12 @@ def _apply_hardware(
     kind: UpdateKind,
 ) -> None:
     """One ``CheckGroup``-and-apply pass over a batch that spans less
-    than ``Tcycle`` (a :func:`_tcycle_pieces` piece).  ``cell_idx`` is
-    per touch or item-major (1-D), or a touch-major ``(k, B)`` block."""
+    than ``Tcycle`` (a :func:`_tcycle_pieces` piece) of touch-major
+    ``(k, B)`` touches."""
     if kind in _COUNTED and cell_idx.size >= frame.num_cells:
         _apply_counted(frame, times, cell_idx, kind)
-        return
-    if cell_idx.ndim == 2:
-        # the scatter below needs each group's latest touch written
-        # last, so touch-major blocks go back to item-major
-        cell_idx = cell_idx.T.reshape(-1)
-        if values is not None:
-            values = values.T.reshape(-1)
-    _apply_scattered(frame, times, cell_idx, values, kind)
+    else:
+        _apply_scattered(frame, times, cell_idx, values, kind)
 
 
 def _apply_counted(
@@ -252,7 +247,7 @@ def _apply_counted(
     survives if the group was touched late, else the early row; the
     group resets if it was touched on both sides of its flip, or if the
     surviving parity differs from its stored mark.  Touch order never
-    matters, so any layout works.
+    matters.
     """
     m = frame.num_cells
     n, mark, cut = frame._mark_split(times)
@@ -260,13 +255,8 @@ def _apply_counted(
     n0 = int(n[0])
     # gid >= n  <=>  cell >= n·w: no per-touch group ids
     n *= frame.group_width
-    if cell_idx.ndim == 2:
-        key = cell_idx - n  # (k, B) touch-major
-        items = key.T
-    else:
-        cell_idx = cell_idx.reshape(n.size, -1)
-        key = cell_idx - n[:, None]
-        items = key
+    key = cell_idx - n  # (k, B) touch-major
+    items = key.T
     # -1 below the item's split, 0 at or above it (int64 sign bit)
     np.right_shift(key, 63, out=key)
     # a run on mark r gives parity r below the split and 1 - r above:
@@ -334,6 +324,12 @@ def _apply_scattered(
     """One ``CheckGroup``-and-scatter pass over a batch that spans less
     than ``Tcycle`` (a :func:`_tcycle_pieces` piece), in O(touches):
     nothing here runs over all ``G`` groups."""
+    # the mark scatter below needs each group's latest touch written
+    # last: item-major order (one copy; an order-free rule would need
+    # a late-touch fix-up scatter and a survivor compress)
+    cell_idx = cell_idx.T.reshape(-1)
+    if values is not None:
+        values = values.T.reshape(-1)
     gids = frame.group_of(cell_idx)
     parity = _touch_parity(frame, times, gids)
 
@@ -386,14 +382,11 @@ def _apply_software(
     values: np.ndarray | None,
     kind: UpdateKind,
 ) -> None:
-    if cell_idx.ndim == 2:
-        # touch-major: row j holds every item's j-th touch
-        times = np.tile(times, cell_idx.shape[0])
-        cell_idx = cell_idx.reshape(-1)
-        if values is not None:
-            values = values.reshape(-1)
-    elif times.size != cell_idx.size:
-        times = np.repeat(times, cell_idx.size // times.size)
+    # touch-major: row j holds every item's j-th touch
+    times = np.tile(times, cell_idx.shape[0])
+    cell_idx = cell_idx.reshape(-1)
+    if values is not None:
+        values = values.reshape(-1)
     t_end = int(times[-1])
     survivors = frame._clean_times(cell_idx, t_end) <= times
     frame.advance(t_end)
@@ -411,15 +404,19 @@ def _apply_dense_hardware(
     """Dense MIN_HASH pass over a batch that spans less than ``Tcycle``:
     a group flips at most once in it, so its survivors start at the
     first item at/after that flip."""
-    tc = frame.t_cycle
-    d = frame.offsets
-    e_first = (int(times[0]) + d) // tc
-    e_last = (int(times[-1]) + d) // tc
-    last_parity = (e_last % 2).astype(np.uint8)
-    flipped = e_last > e_first
-    start = np.zeros(frame.num_groups, dtype=np.int64)
-    start[flipped] = np.searchsorted(times, (e_last * tc - d)[flipped])
-    frame._reset_groups(np.flatnonzero(flipped | (frame.marks != last_parity)))
+    tc, g = frame.t_cycle, frame.num_groups
+    # group gid flips at e*Tcycle + floor(Tcycle*gid/G): after times[0]
+    # groups [n0, G) flip, then past (q+1)*Tcycle (cut 1) groups [0, n1)
+    q = int(times[0]) // tc
+    (n0, n1), _, cut = frame._mark_split(times[[0, -1]])
+    runs = [(n0, n1, q)] if cut == 2 else [(n0, g, q), (0, n1, q + 1)]
+    last_parity = frame._current_marks_all(int(times[-1]))
+    stale = frame.marks != last_parity
+    start = np.zeros(g, dtype=np.int64)
+    for lo, hi, e in runs:
+        stale[lo:hi] = True
+        start[lo:hi] = np.searchsorted(times, frame._phase(np.arange(lo, hi)) + e * tc)
+    frame._reset_groups(np.flatnonzero(stale))
     frame.marks[:] = last_parity
     _min_suffixes(frame.cells, values, np.repeat(start, frame.group_width))
 
@@ -449,17 +446,15 @@ def apply_columnar(
 
     Args:
         frame: a :class:`HardwareFrame` or :class:`SoftwareFrame`.
-        times: arrival times (non-decreasing), ``int64`` — either one
-            per touch, or one per *item* with ``k`` touches per item,
-            which the hardware kernel keeps per item and the software
-            one expands to per touch.
-        cell_idx: touched cell index per touch: 1-D, one per time or
-            item-major (``cell_idx.size == k * times.size``), or a
-            touch-major ``(k, B)`` block whose row ``j`` holds every
-            item's ``j``-th touch.  ``None`` for a dense batch in which
-            every item touches every cell (SHE-MH's M-permutation
-            update); ``values`` is then a ``(B, M)`` block, one row per
-            item, and ``kind`` must be MIN_HASH.
+        times: arrival times (non-decreasing), ``int64``, one per
+            *item* of ``k`` touches; the hardware kernel keeps them per
+            item and the software one expands them to per touch.
+        cell_idx: a touch-major ``(k, B)`` block of touched cell
+            indices, whose row ``j`` holds every item's ``j``-th touch
+            (``k = 1`` for one touch per time), or ``None`` for a dense
+            batch in which every item touches every cell (SHE-MH's
+            M-permutation update); ``values`` is then a ``(B, M)``
+            block, one row per item, and ``kind`` must be MIN_HASH.
         values: per-touch operand for MAX_RANK / MIN_HASH, laid out
             like ``cell_idx``, else ``None``.
         kind: which CSM update function to apply.
@@ -480,33 +475,19 @@ def apply_columnar(
             _apply_dense_hardware(frame, times[lo:hi], values[lo:hi])
         return
     cell_idx = as_index_array(cell_idx)
-    if cell_idx.ndim == 2:
-        if cell_idx.shape[1] != times.size:
-            raise ValueError(
-                f"a touch-major cell_idx block {cell_idx.shape} needs one "
-                f"column per time ({times.size})"
-            )
-    elif cell_idx.size % times.size:
+    if cell_idx.ndim != 2 or cell_idx.shape[1] != times.size:
         raise ValueError(
-            f"cell_idx ({cell_idx.size}) must be a multiple of "
-            f"times ({times.size})"
+            f"cell_idx must be a touch-major (k, B) block with one column "
+            f"per time (B = {times.size}), got shape {cell_idx.shape}"
         )
     if not hardware:
         _apply_software(frame, times, cell_idx, values, kind)
         return
-    if cell_idx.ndim == 2:
-        def piece(a, lo, hi):
-            return a[:, lo:hi]
-    else:
-        k = cell_idx.size // times.size
-
-        def piece(a, lo, hi):
-            return a[lo * k:hi * k]
     for lo, hi in _tcycle_pieces(times, frame.t_cycle):
         _apply_hardware(
             frame,
             times[lo:hi],
-            piece(cell_idx, lo, hi),
-            None if values is None else piece(values, lo, hi),
+            cell_idx[:, lo:hi],
+            None if values is None else values[:, lo:hi],
             kind,
         )

@@ -2,7 +2,8 @@
 
 The cell array is split into ``G`` groups of ``w`` contiguous cells.
 Each group ``gid`` has a fixed time offset ``d_gid = -floor(Tcycle *
-gid / G)`` and a stored 1-bit mark ``m[gid]``.  The *current* mark of a
+gid / G)``, derived where needed (:meth:`HardwareFrame._phase`), never
+stored, and a stored 1-bit mark ``m[gid]``.  The *current* mark of a
 group, ``floor((t + d_gid) / Tcycle) mod 2``, flips once per cleaning
 cycle; whenever a touched group's stored mark disagrees, the whole group
 is lazily reset (Algorithm 1: ``CheckGroup``).  The group's *age* —
@@ -25,8 +26,8 @@ age ``r - f``; the rest have age ``r + Tcycle - f``.  ``f`` rises with
 two scalar bounds from ``divmod(t, Tcycle)``.  Only one run is ever
 non-empty at the top (``n2 < G`` forces ``n1 <= 0``), so the young set
 is one interval, possibly wrapping past ``G``, and a mask costs one
-subtraction and one unsigned compare per cell — no offset gather and
-no modulo.
+subtraction and one unsigned compare per cell (no offset, no modulo);
+:meth:`~HardwareFrame.legal_groups` fills the same interval.
 
 This reproduces on-demand + group cleaning exactly, including the known
 failure mode: a group untouched for two full cycles wraps its mark back
@@ -80,9 +81,6 @@ class HardwareFrame:
         self.cell_bits = require_positive_int("cell_bits", cell_bits)
         self.empty_value = empty_value
         self.cells = np.full(self.num_cells, empty_value, dtype=dtype)
-        # d_gid = -floor(Tcycle * gid / G): offsets evenly spaced over a cycle.
-        gids = np.arange(self.num_groups, dtype=np.int64)
-        self.offsets = -((self.t_cycle * gids) // self.num_groups)
         # Initialise stored marks to the current marks at t = 0 so the
         # (already empty) array does not need a spurious first cleaning.
         self.marks = self._current_marks_all(0)
@@ -93,6 +91,18 @@ class HardwareFrame:
         self.cells_cleaned = 0
 
     # -- mark arithmetic ---------------------------------------------------
+
+    def _phase(self, gids):
+        """``-d_gid = floor(Tcycle * gid / G)`` for ``int64`` group ids,
+        exact while ``Tcycle * G < 2**63`` (as :meth:`_mark_split`
+        assumes)."""
+        g = self.num_groups
+        p = gids * self.t_cycle
+        if g & (g - 1):
+            p //= g
+        else:
+            p >>= g.bit_length() - 1
+        return p
 
     def _mark_split(
         self, times: np.ndarray | int
@@ -150,11 +160,10 @@ class HardwareFrame:
             return np.right_shift(idx, w.bit_length() - 1)
         return idx // w
 
-    def _aged_at_least(self, indices: np.ndarray, t: int, bound: int) -> np.ndarray:
-        """``ages(indices, t) >= bound`` for an integer ``0 <= bound <
-        Tcycle``, from group ids against the scalar bounds of the module
-        docstring: no offset gather, no per-cell modulo."""
-        gids = self.group_of(indices)
+    def _aged_run(self, t: int, bound: int) -> tuple[int, int, bool]:
+        """``(lo, hi, inside)``: at ``t`` a group's age is at least an
+        integer ``0 <= bound < Tcycle`` iff ``(lo <= gid < hi) ==
+        inside``, from the scalar bounds of the module docstring."""
         tc, g = self.t_cycle, self.num_groups
         r = int(t) % tc
 
@@ -165,13 +174,20 @@ class HardwareFrame:
         n = first_after(r + 1)
         n2 = first_after(r + 1 + tc - bound)
         if n2 < g:
-            # the young groups wrap round: [0, n) and [n2, G)
-            gids -= n
-            return gids.view(np.uint64) < n2 - n
-        n1 = first_after(r + 1 - bound)
-        # young: [n1, n)
-        gids -= n1
-        return gids.view(np.uint64) >= n - n1
+            # young [0, n) and [n2, G) wrap round: aged [n, n2)
+            return n, n2, True
+        # young: [n1, n), with n1 <= 0 clamped to the first group
+        return max(first_after(r + 1 - bound), 0), n, False
+
+    def _aged_at_least(self, indices: np.ndarray, t: int, bound: int) -> np.ndarray:
+        """``ages(indices, t) >= bound`` from group ids against the
+        bounds of :meth:`_aged_run`: no offset, no per-cell modulo."""
+        lo, hi, inside = self._aged_run(t, bound)
+        gids = self.group_of(indices)
+        gids -= lo  # groups below lo wrap to huge unsigned values
+        if inside:
+            return gids.view(np.uint64) < hi - lo
+        return gids.view(np.uint64) >= hi - lo
 
     # -- frame protocol ----------------------------------------------------
 
@@ -214,12 +230,11 @@ class HardwareFrame:
 
     def ages(self, indices: np.ndarray, t: int) -> np.ndarray:
         """Age (time since virtual cleaning) of each cell's group."""
-        gids = self.group_of(indices)
-        return (t + self.offsets[gids]) % self.t_cycle
+        return (t - self._phase(self.group_of(indices))) % self.t_cycle
 
     def group_ages(self, t: int) -> np.ndarray:
         """Ages of all ``G`` groups, shape ``(G,)``."""
-        return (t + self.offsets) % self.t_cycle
+        return (t - self._phase(np.arange(self.num_groups))) % self.t_cycle
 
     def all_cell_ages(self, t: int) -> np.ndarray:
         """Ages of all ``M`` cells (each cell inherits its group's age)."""
@@ -235,7 +250,10 @@ class HardwareFrame:
 
     def legal_groups(self, t: int) -> np.ndarray:
         """Boolean mask over groups whose age is in the legal band."""
-        return self.group_ages(t) >= self.config.legal_low
+        lo, hi, inside = self._aged_run(t, self.config.legal_low)
+        legal = np.full(self.num_groups, not inside)
+        legal[lo:hi] = inside
+        return legal
 
     def reset(self) -> None:
         """Return the frame to its empty t=0 state."""

@@ -65,7 +65,7 @@ class SheBitmap(SheSketchBase):
         )
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        idx = self.hashes.indices(keys, self.num_bits)[:, 0]
+        idx = self.hashes.indices(keys, self.num_bits).T  # (1, n)
         return times, idx, None, UpdateKind.SET_ONE
 
     def cardinality(self, t: int | None = None) -> float:

@@ -76,11 +76,11 @@ class SheHyperLogLog(SheSketchBase):
         )
 
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
-        idx = self._select.indices(keys, self.num_registers)[:, 0]
+        idx = self._select.indices(keys, self.num_registers).T  # (1, n)
         ranks = leading_zeros_32(self._value.values(keys)[:, 0]) + 1
         # 5-bit registers saturate at 31
         ranks = np.minimum(ranks, 31)
-        return times, idx, ranks, UpdateKind.MAX_RANK
+        return times, idx, ranks.reshape(idx.shape), UpdateKind.MAX_RANK
 
     def cardinality(self, t: int | None = None) -> float:
         """Estimate the number of distinct keys in the window."""

@@ -108,7 +108,8 @@ def fig11_throughput(
     mh_counters: int = 128,
     seed: int = 111,
 ) -> FigureResult:
-    """Fig. 11: SHE vs the fixed-window original, all five sketches."""
+    """Fig. 11: SHE vs the fixed-window original, all five sketches;
+    each side warmed up, then timed as its best of 3 interleaved passes."""
     result = FigureResult(
         name="Figure 11",
         title="throughput: SHE vs the fixed-window ideal, five sketches",
@@ -116,6 +117,7 @@ def fig11_throughput(
         y_label="Mips (this substrate)",
     )
     window = scale.window
+    warmup = min(2 * window, n_items // 4)
     trace = caida_like(n_items, max(2000, n_items // 50), seed=seed).items
     a, b = relevant_pair(n_items, max(2000, n_items // 10), seed=seed + 1)
 
@@ -131,16 +133,27 @@ def fig11_throughput(
         ("BF", BloomFilter(1 << 16, 8, seed=seed), SheBloomFilter(window, 1 << 16, seed=seed)),
         ("HLL", HyperLogLog(1 << 11, seed=seed), SheHyperLogLog(window, 1 << 11, seed=seed)),
     ]
-    for label, ideal, she in pairs:
-        labels.append(label)
-        ideal_y.append(measure_throughput(ideal, trace).mips)
-        she_y.append(measure_throughput(she, trace).mips)
 
-    labels.append("MH")
-    mh_ideal = MinHash(mh_counters, seed=seed)
-    mh_she = SheMinHash(window, mh_counters, seed=seed)
-    ideal_y.append(measure_throughput(mh_ideal, a.items, side=0).mips)
-    she_y.append(measure_throughput(mh_she, a.items, side=0).mips)
+    def best_of_interleaved(label, ideal, she, stream, **kw):
+        # alternating sides: a slow phase of the host hits both
+        best = [0.0, 0.0]
+        for _ in range(3):
+            for i, sketch in enumerate((ideal, she)):
+                r = measure_throughput(sketch, stream, warmup=warmup, **kw)
+                best[i] = max(best[i], r.mips)
+        labels.append(label)
+        ideal_y.append(best[0])
+        she_y.append(best[1])
+
+    for label, ideal, she in pairs:
+        best_of_interleaved(label, ideal, she, trace)
+    best_of_interleaved(
+        "MH",
+        MinHash(mh_counters, seed=seed),
+        SheMinHash(window, mh_counters, seed=seed),
+        a.items,
+        side=0,
+    )
 
     result.series.append(Series("Ideal", labels, ideal_y))
     result.series.append(Series("SHE", labels, she_y))

@@ -150,7 +150,7 @@ class SheWindowedQuantile(GenericSheSketch):
     def _touch_columns(self, keys: np.ndarray, times: np.ndarray):
         # measurements index their bucket directly: no hashing, one
         # touched cell per sample, counts add under ADD_ONE
-        idx = self.bucket_of(keys)
+        idx = self.bucket_of(keys).reshape(1, -1)
         return times, idx, None, self.spec.update
 
     # -- queries -------------------------------------------------------------

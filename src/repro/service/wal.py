@@ -156,10 +156,6 @@ def _segment_name(seq: int) -> str:
     return f"wal-{seq:08d}.log"
 
 
-def _segment_seq(path: Path) -> int:
-    return int(path.name[len("wal-"):-len(".log")])
-
-
 def _list_segments(directory: Path) -> list[tuple[int, Path]]:
     out = []
     for p in directory.glob(_SEG_GLOB):
@@ -762,12 +758,3 @@ def inspect_wal(directory: str | Path) -> dict:
             out["ok"] = False
         out["segments"].append(entry)
     return out
-
-
-def _position_to_json(position: WalPosition) -> list[int]:
-    return [int(position.segment), int(position.offset)]
-
-
-def _position_from_json(data) -> WalPosition:
-    seg, off = data
-    return WalPosition(int(seg), int(off))

@@ -3,9 +3,9 @@
 These are the keystone correctness tests of the repository — every SHE
 sketch funnels its insertions through ``apply_columnar``, so it must
 match the naive per-item references in ``helpers.py`` bit for bit on
-every update kind, both frames, every touch layout (one time per
-touch; one per item with ``k`` touches each, item-major or as a
-touch-major ``(k, B)`` block) and both of the hardware kernel's paths:
+every update kind, both frames, touch-major ``(k, B)`` blocks of one
+touch per time or ``k`` touches per item (the item-major cases go
+through ``helpers.touch_major``) and both of the hardware kernel's paths:
 ADD_ONE / SET_ONE pieces with at least ``M`` touches are counted, the
 rest are scattered.  A hardware batch spanning ``Tcycle`` or more is
 cut into pieces narrower than ``Tcycle`` before the kernel sees it; the
@@ -21,7 +21,7 @@ from repro.core.batch import apply_columnar
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
-from helpers import NaiveHardwareFrame, NaiveSoftwareFrame
+from helpers import NaiveHardwareFrame, NaiveSoftwareFrame, touch_major
 
 
 def random_touches(rng, n, m, t_span, kind):
@@ -86,7 +86,8 @@ def _hardware_branch(frame, touch_times, cells):
     ``apply_columnar`` splits into pieces spanning < Tcycle each.
     """
     gids = cells // frame.group_width
-    parity = ((touch_times + frame.offsets[gids]) // frame.t_cycle) % 2
+    phase = (frame.t_cycle * gids) // frame.num_groups  # -d_gid
+    parity = ((touch_times - phase) // frame.t_cycle) % 2
     flips = any(
         np.unique(parity[gids == g]).size > 1 for g in np.unique(gids)
     )
@@ -104,7 +105,7 @@ def test_hardware_batch_matches_naive(kind, seed):
     cfg = SheConfig(window=40, alpha=0.3, group_width=4)
     fast, naive = _frames("hardware", cfg, 16, kind)
     times, cells, values = random_touches(rng, 400, 16, 6 * cfg.t_cycle, kind)
-    apply_columnar(fast, times, cells, values, kind)
+    apply_columnar(fast, times, *touch_major(times, cells, values), kind)
     _naive_apply(naive, times, cells, values, kind)
     _assert_same(fast, naive)
 
@@ -116,14 +117,15 @@ def test_software_batch_matches_naive(kind, seed):
     cfg = SheConfig(window=40, alpha=0.3)
     fast, naive = _frames("software", cfg, 16, kind)
     times, cells, values = random_touches(rng, 400, 16, 6 * cfg.t_cycle, kind)
-    apply_columnar(fast, times, cells, values, kind)
+    apply_columnar(fast, times, *touch_major(times, cells, values), kind)
     _naive_apply(naive, times, cells, values, kind)
     _assert_same(fast, naive)
 
 
 def _check_per_item_layout(frame_kind, kind, k, layout, m):
-    """One time per item and ``k`` touches per item, item-major (1-D)
-    or as a touch-major ``(k, B)`` block, against the per-item oracle."""
+    """One time per item and ``k`` touches per item, item-major
+    (through ``touch_major``) or as a contiguous touch-major ``(k, B)``
+    block, against the per-item oracle."""
     rng = np.random.default_rng(10 * k)
     cfg = SheConfig(window=40, alpha=0.3, group_width=4)
     fast, naive = _frames(frame_kind, cfg, m, kind)
@@ -136,7 +138,7 @@ def _check_per_item_layout(frame_kind, kind, k, layout, m):
         else None
     )
     if layout == "item-major":
-        apply_columnar(fast, times, cells, values, kind)
+        apply_columnar(fast, times, *touch_major(times, cells, values), kind)
     else:
         apply_columnar(
             fast, times, cells.reshape(n, k).T.copy(),
@@ -199,7 +201,7 @@ def test_each_hardware_branch_matches_naive(branch, kind):
     warm_t, warm_c, warm_v = random_touches(
         np.random.default_rng(1), 80, m, cfg.t_cycle // 2, kind
     )
-    apply_columnar(fast, warm_t, warm_c, warm_v, kind)
+    apply_columnar(fast, warm_t, *touch_major(warm_t, warm_c, warm_v), kind)
     _naive_apply(naive, warm_t, warm_c, warm_v, kind)
 
     times, cells = _branch_batch(branch, cfg, m)
@@ -209,7 +211,7 @@ def test_each_hardware_branch_matches_naive(branch, kind):
         if kind in (UpdateKind.MAX_RANK, UpdateKind.MIN_HASH)
         else None
     )
-    apply_columnar(fast, times, cells, values, kind)
+    apply_columnar(fast, times, *touch_major(times, cells, values), kind)
     _naive_apply(naive, times, cells, values, kind)
     _assert_same(fast, naive)
 
@@ -225,7 +227,7 @@ def test_single_flip_add_one_undoes_discarded_prefix(paths):
     times = np.asarray([tc - 2] * 5 + [tc] * 3, dtype=np.int64)
     cells = np.asarray([1, 1, 2, 1, 3, 1, 2, 1], dtype=np.int64)
     assert _hardware_branch(fast, times, cells) == "single-flip"
-    apply_columnar(fast, times, cells, None, UpdateKind.ADD_ONE)
+    apply_columnar(fast, times, *touch_major(times, cells), UpdateKind.ADD_ONE)
     _naive_apply(naive, times, cells, None, UpdateKind.ADD_ONE)
     _assert_same(fast, naive)
     assert fast.cells[:4].tolist() == [0, 2, 1, 0]
@@ -245,7 +247,7 @@ def test_counted_piece_matches_naive(paths, kind, branch, layout):
     warm_t, warm_c, _ = random_touches(
         np.random.default_rng(3), 80, m, cfg.t_cycle // 2, kind
     )
-    apply_columnar(fast, warm_t, warm_c, None, kind)
+    apply_columnar(fast, warm_t, *touch_major(warm_t, warm_c), kind)
     _naive_apply(naive, warm_t, warm_c, None, kind)
     times, cells = _branch_batch(branch, cfg, m)
     rng = np.random.default_rng(4)
@@ -257,7 +259,7 @@ def test_counted_piece_matches_naive(paths, kind, branch, layout):
     if layout == "touch-major":
         apply_columnar(fast, times, cells, None, kind)
     else:
-        apply_columnar(fast, times, cells.T.reshape(-1), None, kind)
+        apply_columnar(fast, times, *touch_major(times, cells.T.reshape(-1)), kind)
     assert paths == ["counted"]
     _naive_apply(naive, np.repeat(times, k), cells.T.reshape(-1), None, kind)
     _assert_same(fast, naive)
@@ -276,7 +278,7 @@ def test_two_flips_just_over_one_tcycle(kind):
     cells = np.asarray([1, 2, 1, 3], dtype=np.int64)
     values = np.asarray([9, 4, 3, 5]) if kind in (UpdateKind.MAX_RANK, UpdateKind.MIN_HASH) else None
     assert _hardware_branch(fast, times, cells) == "general"
-    apply_columnar(fast, times, cells, values, kind)
+    apply_columnar(fast, times, *touch_major(times, cells, values), kind)
     _naive_apply(naive, times, cells, values, kind)
     _assert_same(fast, naive)
 
@@ -301,7 +303,7 @@ def test_geometry_without_powers_of_two(frame_kind, kind, window, alpha, group_w
     for batch in range(3):  # consecutive batches, each crossing flips
         times, cells, values = random_touches(rng, 150, m, 3 * cfg.t_cycle, kind)
         times += 3 * cfg.t_cycle * batch
-        apply_columnar(fast, times, cells, values, kind)
+        apply_columnar(fast, times, *touch_major(times, cells, values), kind)
         _naive_apply(naive, times, cells, values, kind)
     _assert_same(fast, naive)
 
@@ -337,7 +339,7 @@ def test_touch_parity_equals_current_marks(k, window, alpha, group_width, groups
                 for i, t in enumerate(touch_times)]
         assert got.dtype == np.uint8
         assert got.tolist() == want
-        textbook = ((touch_times + frame.offsets[gids]) // tc) % 2
+        textbook = ((touch_times - (tc * gids) // groups) // tc) % 2
         assert got.tolist() == textbook.tolist()
 
 
@@ -365,8 +367,12 @@ def test_shape_rule_counts_pieces_of_at_least_m_touches(paths, kind, layout):
             apply_columnar(fast, times, cells, values, kind)
         else:
             apply_columnar(
-                fast, times, cells.T.reshape(-1),
-                None if values is None else values.T.reshape(-1), kind,
+                fast, times,
+                *touch_major(
+                    times, cells.T.reshape(-1),
+                    None if values is None else values.T.reshape(-1),
+                ),
+                kind,
             )
         want = "counted" if counted and items * k >= m else "scattered"
         assert paths == [want]
@@ -409,7 +415,7 @@ def _check_narrow_wrap(paths, branch, m):
         times = np.asarray([0] * 40 + [tc] * 270, dtype=np.int64)
         cells = np.ones(310, dtype=np.int64)
     assert _hardware_branch(fast, times, cells) == branch
-    apply_columnar(fast, times, cells, None, UpdateKind.ADD_ONE)
+    apply_columnar(fast, times, *touch_major(times, cells), UpdateKind.ADD_ONE)
     _naive_apply(naive, times, cells, None, UpdateKind.ADD_ONE)
     _assert_same(fast, naive, modulus=256)
     assert fast.cells.dtype == np.uint8
@@ -425,10 +431,12 @@ def test_split_batches_equal_one_batch(frame_kind):
     f1 = make_frame(frame_kind, cfg, m, dtype=np.int64, empty_value=0, cell_bits=8)
     f2 = make_frame(frame_kind, cfg, m, dtype=np.int64, empty_value=0, cell_bits=8)
     times, cells, _ = random_touches(rng, 600, m, 8 * cfg.t_cycle, UpdateKind.ADD_ONE)
-    apply_columnar(f1, times, cells, None, UpdateKind.ADD_ONE)
+    apply_columnar(f1, times, *touch_major(times, cells), UpdateKind.ADD_ONE)
     # split at arbitrary points
     for lo, hi in [(0, 13), (13, 200), (200, 201), (201, 600)]:
-        apply_columnar(f2, times[lo:hi], cells[lo:hi], None, UpdateKind.ADD_ONE)
+        apply_columnar(
+            f2, times[lo:hi], *touch_major(times[lo:hi], cells[lo:hi]), UpdateKind.ADD_ONE
+        )
     # marks may differ on groups f2 lazily cleaned later, but a final
     # check at the same time must converge the cell contents
     f1.prepare_query_all(int(times[-1]))
@@ -468,7 +476,7 @@ def test_hardware_kernels_only_see_pieces_narrower_than_tcycle(monkeypatch, dens
     else:
         cells = rng.integers(0, m, size=times.size * k).astype(np.int64)
         values = rng.integers(1, 255, size=cells.size).astype(np.int64)
-        apply_columnar(fast, times, cells, values, UpdateKind.MIN_HASH)
+        apply_columnar(fast, times, *touch_major(times, cells, values), UpdateKind.MIN_HASH)
         touches = zip(cells, np.repeat(times, k), values)
     for c, t, v in touches:
         naive.touch(int(c), int(t), UpdateKind.MIN_HASH, int(v))
@@ -501,7 +509,7 @@ def test_batch_just_over_one_tcycle_splits_in_halves(monkeypatch):
     rng = np.random.default_rng(5)
     cells = rng.integers(0, m, size=n * k).astype(np.int64)
     fast, naive = _frames("hardware", cfg, m, UpdateKind.ADD_ONE)
-    apply_columnar(fast, times, cells, None, UpdateKind.ADD_ONE)
+    apply_columnar(fast, times, *touch_major(times, cells), UpdateKind.ADD_ONE)
     for c, t in zip(cells, np.repeat(times, k)):
         naive.touch(int(c), int(t), UpdateKind.ADD_ONE)
     _assert_same(fast, naive)
@@ -525,30 +533,41 @@ def test_single_touch_sets_mark():
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
     # touch at a time where group 0's mark has flipped once (t >= Tcycle)
     t = cfg.t_cycle
-    apply_columnar(f, np.asarray([t]), np.asarray([0]), None, UpdateKind.SET_ONE)
+    apply_columnar(f, np.asarray([t]), np.asarray([[0]]), None, UpdateKind.SET_ONE)
     assert f.marks[0] == 1
     assert f.cells[0] == 1
 
 
 def test_rejects_unknown_frame():
     with pytest.raises(TypeError):
-        apply_columnar(object(), np.asarray([0]), np.asarray([0]), None, UpdateKind.SET_ONE)
+        apply_columnar(object(), np.asarray([0]), np.asarray([[0]]), None, UpdateKind.SET_ONE)
 
 
 def test_rejects_touches_not_a_multiple_of_items():
     cfg = SheConfig(window=10, alpha=0.5, group_width=2)
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
-    with pytest.raises(ValueError, match="multiple"):
-        apply_columnar(f, np.asarray([0, 1]), np.asarray([0, 1, 2]), None, UpdateKind.SET_ONE)
     with pytest.raises(ValueError, match="column per time"):
         apply_columnar(f, np.asarray([0, 1]), np.zeros((2, 3), np.int64), None, UpdateKind.SET_ONE)
+
+
+@pytest.mark.parametrize("frame_kind", ["hardware", "software"])
+@pytest.mark.parametrize("touches", [2, 4], ids=["per-touch", "item-major"])
+def test_rejects_one_dimensional_cell_idx(frame_kind, touches):
+    """One layout: a 1-D ``cell_idx`` (one touch per time, or ``k``
+    per item item-major) is refused, naming the ``(k, B)`` block."""
+    cfg = SheConfig(window=10, alpha=0.5, group_width=2)
+    f = make_frame(frame_kind, cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
+    cells = np.arange(touches, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"touch-major \(k, B\) block"):
+        apply_columnar(f, np.asarray([0, 1]), cells, None, UpdateKind.SET_ONE)
+    assert not f.cells.any()
 
 
 def test_duplicate_cell_same_time_add():
     """k hashes hitting the same counter at the same instant both count."""
     cfg = SheConfig(window=10, alpha=0.5, group_width=2)
     f = make_frame("hardware", cfg, 8, dtype=np.int64, empty_value=0, cell_bits=8)
-    apply_columnar(f, np.asarray([3, 3]), np.asarray([5, 5]), None, UpdateKind.ADD_ONE)
+    apply_columnar(f, np.asarray([3, 3]), np.asarray([[5, 5]]), None, UpdateKind.ADD_ONE)
     assert f.cells[5] == 2
 
 

@@ -75,8 +75,10 @@ def _scramble(frame, rng, t0):
 
 
 def _division_marks(frame, gids, t):
-    """The textbook form, Algorithm 1 l.2: floor((t + d_gid) / Tcycle) mod 2."""
-    return (((t + frame.offsets[gids]) // frame.t_cycle) % 2).astype(np.uint8)
+    """The textbook form, Algorithm 1 l.2: floor((t + d_gid) / Tcycle) mod 2
+    with d_gid = -floor(Tcycle * gid / G)."""
+    d = -((frame.t_cycle * gids) // frame.num_groups)
+    return (((t + d) // frame.t_cycle) % 2).astype(np.uint8)
 
 
 class TestCurrentMarksTwoRuns:

@@ -5,7 +5,10 @@ code in the package; these references implement Algorithm 1 and the
 software sweep *literally, one touch at a time*, and the equivalence
 tests assert the fast paths match them bit for bit.  ``clean_groups``
 runs ``CheckGroup`` in place on a real frame: the oracle point reads
-(``read``) are checked against.  ``partition`` is the masked-copy
+(``read``) are checked against.  The references take touches
+item-major, one time per touch or ``k`` adjacent touches per item;
+``touch_major`` turns that order into the ``(k, B)`` block the kernel
+takes.  ``partition`` is the masked-copy
 reference for the engine's argsort partition, and ``shard_of`` the
 scalar reference for ``shard_ids``.
 """
@@ -19,6 +22,19 @@ from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 from repro.core.software_frame import SoftwareFrame
 from repro.service.sharding import DEFAULT_SHARD_SEED, shard_ids
+
+
+def touch_major(times, cells, values=None):
+    """``(cells, values)`` as touch-major ``(k, B)`` blocks for
+    ``apply_columnar``, from item-major touches: item ``i`` of
+    ``times`` owns ``cells[i*k:(i+1)*k]`` (``k = 1``: one touch per
+    time).  ``values=None`` stays ``None``."""
+    items = np.asarray(times).size
+
+    def block(a):
+        return None if a is None else np.asarray(a).reshape(items, -1).T
+
+    return block(cells), block(values)
 
 
 def clean_groups(frame, gids, t: int) -> None:

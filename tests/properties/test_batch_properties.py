@@ -4,8 +4,9 @@ Hypothesis drives random touch sequences through the vectorised apply
 kernel (``apply_columnar``) and the literal per-item reference; they
 must agree bit for bit on cells (and marks for the hardware frame)
 under every update kind, window, alpha, group width, touch pattern and
-layout (one time per touch, or one per item with ``k`` touches, either
-item-major or as a touch-major ``(k, B)`` block), on pieces both below
+touch-major ``(k, B)`` block (one time per touch, or one per item with
+``k`` touches; item-major draws go through ``helpers.touch_major``,
+touch-major ones are built as contiguous blocks), on pieces both below
 and at or above ``M`` touches (the kernel's scattered and counted
 paths) and on cells narrow enough to wrap.  On the hardware frame the
 cleaning telemetry must match too: one ``CheckGroup`` pass per kernel
@@ -21,7 +22,7 @@ from repro.core.batch import _tcycle_pieces, apply_columnar
 from repro.core.config import SheConfig
 from repro.core.csm import UpdateKind
 
-from helpers import NaiveHardwareFrame, NaiveSoftwareFrame
+from helpers import NaiveHardwareFrame, NaiveSoftwareFrame, touch_major
 
 KINDS = st.sampled_from(list(UpdateKind))
 
@@ -84,7 +85,7 @@ def test_hardware_batch_equals_algorithm1(seq, kind):
     t_arr = np.asarray(times, dtype=np.int64)
     c_arr = np.asarray(cells, dtype=np.int64)
     v_arr = np.asarray(values, dtype=np.int64)
-    apply_columnar(fast, t_arr, c_arr, v_arr, kind)
+    apply_columnar(fast, t_arr, *touch_major(t_arr, c_arr, v_arr), kind)
     want = _naive_pieces(naive, times, cells, values, kind, 1, cfg.t_cycle)
 
     assert fast.cells.tolist() == naive.cells
@@ -100,11 +101,15 @@ def test_software_batch_equals_sweep(seq, kind):
     fast = make_frame("software", cfg, m, dtype=np.int64, empty_value=empty, cell_bits=8)
     naive = NaiveSoftwareFrame(cfg, m, empty_value=empty)
 
+    t_arr = np.asarray(times, dtype=np.int64)
     apply_columnar(
         fast,
-        np.asarray(times, dtype=np.int64),
-        np.asarray(cells, dtype=np.int64),
-        np.asarray(values, dtype=np.int64),
+        t_arr,
+        *touch_major(
+            t_arr,
+            np.asarray(cells, dtype=np.int64),
+            np.asarray(values, dtype=np.int64),
+        ),
         kind,
     )
     for t, c, v in zip(times, cells, values):
@@ -158,13 +163,16 @@ def test_item_major_batch_equals_reference(seq, kind, frame_kind, layout, dtype)
         # a time, so only the hardware frame starts far from it
         times = [base + t for t in times]
 
+    t_arr = np.asarray(times, dtype=np.int64)
     c_arr = np.asarray(cells, dtype=np.int64)
     v_arr = np.asarray(values, dtype=np.int64)
     if layout == "touch-major":
         # row j holds every item's j-th touch
         c_arr = c_arr.reshape(-1, k).T.copy()
         v_arr = v_arr.reshape(-1, k).T.copy()
-    apply_columnar(fast, np.asarray(times, dtype=np.int64), c_arr, v_arr, kind)
+    else:
+        c_arr, v_arr = touch_major(t_arr, c_arr, v_arr)
+    apply_columnar(fast, t_arr, c_arr, v_arr, kind)
     if frame_kind == "software":
         touch_times = [t for t in times for _ in range(k)]
         for t, c, v in zip(touch_times, cells, values):

@@ -49,6 +49,12 @@ So the scalar ingest fork (``ingest_one`` and its buffer staging
 ``_KindsView``, and a single-batch ``def flush`` in the executor
 classes are all gone from ``src/``.  ``"block_timeout_s"`` stays a
 retired config key old manifests carry, so it is allowed as a string.
+
+A seventh rule keeps the group offsets derived.  ``d_gid = -floor(Tcycle
+* gid / G)`` is a function of ``gid``, worked out where it is needed, so
+no module under ``src/repro/core`` or ``src/repro/obs`` reads or assigns
+an ``offsets`` attribute.  The RTL models under ``src/repro/hardware``
+keep their own offset tables, as the hardware does, and are exempt.
 """
 
 import ast
@@ -129,6 +135,9 @@ REMOVED_SURFACE_NAMES = {
     "block_timeout_s",
     "_KindsView",
 }
+
+#: the packages in which no ``offsets`` attribute may appear
+DERIVED_OFFSET_PACKAGES = (SRC / "repro" / "core", SRC / "repro" / "obs")
 
 #: the modules whose classes may not define a single-batch ``flush``
 EXECUTOR_MODULES = {
@@ -499,3 +508,42 @@ def test_batch_path_lint_detects_violations(tmp_path):
     assert sum("removed name" in f for f in found) == 4
     assert any("block_timeout_s" in f for f in found)
     assert len(_batch_path_violations(bad, executor_module=False)) == 5
+
+
+def _stored_offset_violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path}:{node.lineno}: offsets attribute"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "offsets"
+    ]
+
+
+def test_group_offsets_are_derived():
+    offenders = []
+    for package in DERIVED_OFFSET_PACKAGES:
+        for path in sorted(package.rglob("*.py")):
+            offenders.extend(_stored_offset_violations(path))
+    assert not offenders, (
+        "d_gid is derived from gid (HardwareFrame._phase); no frame or "
+        "probe stores or reads a per-group offsets array:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_stored_offset_lint_detects_violations(tmp_path):
+    """The rule is live: reads and assignments of ``offsets`` are caught."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "class Frame:\n"
+        "    def __init__(self, g):\n"
+        "        self.offsets = -((self.t_cycle * g) // self.num_groups)\n"
+        "    def ages(self, gids, t):\n"
+        "        return (t + self.offsets.take(gids)) % self.t_cycle\n"
+        "# frame.offsets[gid] in a comment is fine\n"
+        "s = 'frame.offsets in a string is fine'\n"
+        "offsets = [0, -10]  # a local name is fine\n"
+    )
+    found = _stored_offset_violations(bad)
+    assert len(found) == 2
+    assert all("offsets attribute" in f for f in found)
