@@ -152,10 +152,11 @@ class GenericSheSketch(SheSketchBase):
         idx = self.hashes.indices(keys, self.num_cells_total)
         flat = idx.reshape(-1)
         shape = idx.shape
+        values, mature = self.frame.read_mature(flat, t)
         return CellReadout(
-            values=self.frame.read(flat, t).reshape(shape),
+            values=values.reshape(shape),
             ages=self.frame.ages(flat, t).reshape(shape),
-            mature=self.frame.mature_mask(flat, t).reshape(shape),
+            mature=mature.reshape(shape),
             legal=self.frame.legal_mask(flat, t).reshape(shape),
         )
 

@@ -182,8 +182,11 @@ class HardwareFrame:
     def _aged_at_least(self, indices: np.ndarray, t: int, bound: int) -> np.ndarray:
         """``ages(indices, t) >= bound`` from group ids against the
         bounds of :meth:`_aged_run`: no offset, no per-cell modulo."""
+        return self._gids_aged_at_least(self.group_of(indices), t, bound)
+
+    def _gids_aged_at_least(self, gids: np.ndarray, t: int, bound: int) -> np.ndarray:
+        """:meth:`_aged_at_least` of group ids, which it overwrites."""
         lo, hi, inside = self._aged_run(t, bound)
-        gids = self.group_of(indices)
         gids -= lo  # groups below lo wrap to huge unsigned values
         if inside:
             return gids.view(np.uint64) < hi - lo
@@ -214,11 +217,21 @@ class HardwareFrame:
         would leave them, without writing the frame: a cell whose group
         is stale (stored mark != current mark) reads as empty."""
         idx = as_index_array(indices)
-        gids = self.group_of(idx)
+        return self._read_gids(idx, self.group_of(idx), t)
+
+    def _read_gids(self, idx: np.ndarray, gids: np.ndarray, t: int) -> np.ndarray:
         stale = self.marks.take(gids) != self._current_marks(gids, t)
         vals = self.cells.take(idx)
         vals[stale] = self.empty_value
         return vals
+
+    def read_mature(self, indices: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(read(indices, t), mature_mask(indices, t))`` from one pass
+        of :meth:`group_of` over the indices."""
+        idx = as_index_array(indices)
+        gids = self.group_of(idx)
+        vals = self._read_gids(idx, gids, t)
+        return vals, self._gids_aged_at_least(gids, t, self.window)
 
     def read_all(self, t: int) -> np.ndarray:
         """A fresh copy of ``cells`` as :meth:`prepare_query_all` at

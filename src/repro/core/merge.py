@@ -23,7 +23,8 @@ count-based clocks that drifted apart (ages would disagree);
 
 Operands are never written: every frame is read as lazy cleaning at
 the common time would leave it (``read_all``), and the reads fold into
-one output, so the result does not depend on operand order.
+one accumulator, in place for the ufunc combines, so the result does
+not depend on operand order and a merge holds one extra read at a time.
 
 Caveat (documented, tested): a group may be stale in one operand and
 fresh in the other; reading both at the common time resolves every
@@ -39,6 +40,8 @@ C >> M operating regime.
 from __future__ import annotations
 
 import copy
+
+import numpy as np
 
 from repro.core.registry import AlgoDescriptor, cell_merge_for, descriptor_of
 
@@ -150,9 +153,12 @@ def merge_many(sketches, *, t: int | None = None, require_aligned: bool = False)
     memo: dict = {}
     for side, tt in enumerate(times):
         frames = [_frames(s, desc)[side] for s in sketches]
-        acc = frames[0].read_all(tt)
+        acc = frames[0].read_all(tt)  # a fresh copy: the fold owns it
         for frame in frames[1:]:
-            acc = combine(acc, frame.read_all(tt))
+            if isinstance(combine, np.ufunc):
+                combine(acc, frame.read_all(tt), out=acc)
+            else:
+                acc = combine(acc, frame.read_all(tt))
         memo[id(frames[0].cells)] = acc
         if hasattr(frames[0], "marks"):
             memo[id(frames[0].marks)] = frames[0]._current_marks_all(tt)

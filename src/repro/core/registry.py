@@ -59,16 +59,12 @@ __all__ = [
 GENERIC_KIND = "generic"
 
 
-def _merge_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
-
-
 #: the cell-wise combine each update function admits: the merge of two
 #: substream sketches is exact iff the combine distributes over F.
 _UPDATE_MERGE: dict[UpdateKind, Callable] = {
     UpdateKind.SET_ONE: np.maximum,   # OR on 0/1 bits
     UpdateKind.MAX_RANK: np.maximum,  # max rank
-    UpdateKind.ADD_ONE: _merge_add,   # counts add
+    UpdateKind.ADD_ONE: np.add,       # counts add
     UpdateKind.MIN_HASH: np.minimum,  # min hash values
 }
 

@@ -88,9 +88,9 @@ class SheBloomFilter(SheSketchBase):
         t = self._resolve_time(t)
         keys = as_key_array(keys)
         idx = self.hashes.indices(keys, self.num_bits).T  # (k, n)
-        flat = idx.reshape(-1)
-        mature = self.frame.mature_mask(flat, t).reshape(idx.shape)
-        bits = self.frame.read(flat, t).reshape(idx.shape)
+        bits, mature = self.frame.read_mature(idx.reshape(-1), t)
+        bits = bits.reshape(idx.shape)
+        mature = mature.reshape(idx.shape)
         # evidence of absence: a mature mapped bit that is 0 (bits hold
         # 0/1, so ``mature > bits`` is ``mature & (bits == 0)``)
         absent = np.any(mature > bits, axis=0)

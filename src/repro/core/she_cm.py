@@ -90,9 +90,9 @@ class SheCountMin(SheSketchBase):
         t = self._resolve_time(t)
         keys = as_key_array(keys)
         idx = self.hashes.indices(keys, self.num_counters).T  # (k, n)
-        flat = idx.reshape(-1)
-        mature = self.frame.mature_mask(flat, t).reshape(idx.shape)
-        counts = self.frame.read(flat, t).reshape(idx.shape).astype(np.float64)
+        counts, mature = self.frame.read_mature(idx.reshape(-1), t)
+        counts = counts.reshape(idx.shape).astype(np.float64)
+        mature = mature.reshape(idx.shape)
         # min over mature counters; fall back to min over all if none mature
         masked = np.where(mature, counts, np.inf)
         est = np.min(masked, axis=0)

@@ -23,6 +23,11 @@ from repro.core.csm import UpdateKind
 
 __all__ = ["SheHyperLogLog", "hll_alpha"]
 
+#: ``2^-rank`` for every rank a 5-bit register holds, exact powers of
+#: two: an estimate looks its terms up rather than running ``exp2``,
+#: whose first call pages ~0.3 MB of NumPy code into a fresh worker
+_NEG_POW2 = np.array([2.0 ** -rank for rank in range(32)])
+
 
 def hll_alpha(m: int) -> float:
     """Flajolet et al.'s bias-correction constant for ``m`` registers."""
@@ -90,11 +95,11 @@ class SheHyperLogLog(SheSketchBase):
         k = int(np.count_nonzero(legal))
         if k == 0:
             return 0.0
-        regs = self.frame.cells[legal].astype(np.float64)
-        z = float(np.sum(np.exp2(-regs)))
+        ranks = self.frame.cells[legal]
+        z = float(np.sum(_NEG_POW2.take(ranks)))
         est_sub = hll_alpha(k) * k * k / z
         if est_sub <= 2.5 * k:
-            zeros = int(np.count_nonzero(regs == 0))
+            zeros = int(np.count_nonzero(ranks == 0))
             if zeros > 0:
                 est_sub = k * float(np.log(k / zeros))
         # rescale from the k-register legal subsample to all M registers

@@ -118,6 +118,11 @@ class SoftwareFrame:
             vals[j % self.num_cells < count] = self.empty_value
         return vals
 
+    def read_mature(self, indices: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(read(indices, t), mature_mask(indices, t))``: the frames'
+        one point-query read (cells are their own groups here)."""
+        return self.read(indices, t), self.mature_mask(indices, t)
+
     def read_all(self, t: int) -> np.ndarray:
         """A fresh copy of ``cells`` as :meth:`prepare_query_all` at
         ``t`` would leave them; the frame itself is not written."""

@@ -29,8 +29,8 @@ behind a single pipe per worker, and a scrape-thread RPC would
 interleave with the engine thread's protocol.  For those deployments,
 call ``engine.update_probe_gauges()`` from the engine's own thread
 (e.g. after each checkpoint) and the exporter serves the latest values.
-Probing a process engine settles its flush round in flight first (the
-snapshot RPCs share the worker pipes); a serial engine's shards are
+Probing a process engine settles its flush round in flight first (its
+``read`` RPCs share the worker pipes); a serial engine's shards are
 probed in place without settling, so a scrape never changes engine
 state.
 """

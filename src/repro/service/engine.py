@@ -37,14 +37,18 @@ reading each key's owning shard for point queries:
   buffered items with exact per-shard accounting.  The default
   (no budgets) is today's unbounded behaviour, untouched.
 
-* **Queries.** Every query reads the live shards once, without
-  copying or cleaning them, so queries never change shard state.
-  Point queries (membership, frequency) go to each key's owning
-  shard alone: every arrival of a key lives there, so the owner's
-  answer is exact for the sketch it is, and no other shard's load
-  adds to its error.  Whole-array queries (cardinality, similarity,
-  quantile) fold the shards via ``merge_many`` and answer exactly as
-  the merged single sketch would.
+* **Queries.** Every query is one ``read`` per worker, run where the
+  shards live: the worker advances its shards to the global clock and
+  answers without copying or cleaning them, so a query changes no
+  shard state beyond that advance.  Point queries (membership,
+  frequency) go to each key's owning shard alone: every arrival of a
+  key lives there, so the owner's answer is exact for the sketch it
+  is, and no other shard's load adds to its error.  Whole-array
+  queries (cardinality, similarity, quantile) fold each worker's
+  shards via ``merge_many`` into one operand; a lone worker answers
+  from it and ships the value, several ship their operands for the
+  driver to fold.  Either way the answer is exactly the merged single
+  sketch's.
 
 * **Failure containment.** Executor failures arrive as the typed
   hierarchy of :mod:`repro.service.errors` and never lose data: a
@@ -1155,13 +1159,13 @@ class StreamEngine:
 
     # -- querying ------------------------------------------------------------
 
-    def _sync(self, strict: bool = True) -> None:
-        """Drain buffers and bring every live shard to the global clock.
+    def _drain(self, strict: bool) -> None:
+        """Settle and flush every buffer, so a read sees the whole stream.
 
-        With ``strict=True`` (the default), any down shard — previously
-        marked or newly failed here — raises; ``strict=False`` marks
-        failures down and keeps going so degraded queries can answer
-        from the survivors.
+        With ``strict=True``, any down shard — previously marked or
+        newly failed here — raises; ``strict=False`` marks failures
+        down and keeps going so degraded queries can answer from the
+        survivors.
         """
         self._settle(strict)
         if strict and self._down:
@@ -1173,91 +1177,77 @@ class StreamEngine:
         self._check_open()
         with self.obs.tracer.span("engine.sync", strict=strict) as sync_span:
             # remembered for the query_fanin stage exemplar: the read
-            # that follows this sync belongs to the same logical trace
+            # that follows this drain belongs to the same logical trace
             self._last_sync_trace = sync_span.trace_id
             self._flush_buffers(strict=strict)
-            for s in range(self.config.num_shards):
-                if s in self._down:
-                    continue
-                try:
-                    self._advance_shard(s)
-                except ShardError as err:
-                    if self._handle_executor_failure(err, strict=strict):
-                        self._advance_recovered(err)
 
-    def _advance_recovered(self, err: ShardError) -> None:
-        """Catch the rebuilt workers' shards up to the global clock once.
-
-        A rebuilt worker's shards all come back at their replayed clock,
-        including those already advanced before the failure, so every
-        live shard of the workers the supervisor rebuilt is advanced
-        again, not only the shard whose op failed.
-        """
-        rebuilt = {
-            s for w in self._workers_of_error(err)
-            for s in self._exec.shards_of(w)
-        }
-        for s in sorted(rebuilt - self._down):
-            self._advance_shard(s)
-
-    def _advance_shard(self, s: int) -> None:
-        if self._two_stream:
-            for side in (0, 1):
-                self._exec.advance(s, self._t[side], side)
-        else:
-            self._exec.advance(s, self._t[0])
+    def _sync(self, strict: bool = True) -> None:
+        """Drain buffers and bring every live shard to the global clock."""
+        self._read(strict, None)
 
     def snapshots(self) -> list:
-        """Clock-aligned copies of all shards (flushes first)."""
-        return list(self._read(strict=True, copy=True)[0].values())
+        """Clock-aligned copies of all shards (flushes first): the one
+        read that still ships whole shards."""
+        return self._read(True, None, copy=True)[0]
 
-    def _read(self, strict: bool, copy: bool = False) -> tuple[dict, set[int]]:
-        """The one read behind every query: ``({shard: view}, missing)``.
+    def _read(
+        self, strict: bool, op, args: dict | None = None,
+        *, copy: bool = False,
+    ) -> tuple[list, set[int]]:
+        """The one read behind every query: ``(answers, missing)``.
 
-        Syncs, then reads every live shard in one fan-out: the
-        executor's read-side views (``peeks``: the shards themselves in
-        process, pipelined snapshots from workers) or, with ``copy``,
-        isolated copies (``snapshots``).  A failed read goes through
-        ``_handle_executor_failure``: workers the supervisor rebuilds
-        are caught up to the clock and the read runs once more, and
-        shards that stay lost raise on a strict read and are reported
-        missing from a degraded one.
+        Drains, then sends the executor's ``read`` verb over every live
+        shard: each worker advances its shards to the engine clock and
+        answers ``op`` where they live, with ``args[shard]`` (None for
+        shards ``args`` omits), so ``answers`` holds one entry per
+        worker.  With ``copy`` the aligned shards then come back whole
+        (``snapshots``), in shard order.  A failed read goes through
+        ``_handle_executor_failure``: after the supervisor rebuilds the
+        implicated workers the read runs once more (its clock catches
+        the rebuilt shards up), and shards that stay lost raise on a
+        strict read and are reported missing from a degraded one.
         """
-        self._sync(strict)
-        read = self._exec.snapshots if copy else self._exec.peeks
+        self._drain(strict)
+        args = args or {}
         lost: set[int] = set()  # failed again after this read's rebuild
         rebuilt = False
         while True:
             missing = self._down | lost
-            live = [s for s in range(self.config.num_shards) if s not in missing]
+            live = {
+                s: args.get(s)
+                for s in range(self.config.num_shards) if s not in missing
+            }
             try:
-                return dict(zip(live, read(live))), missing
+                answers = self._exec.read(self._t, op, live)
+                if copy:
+                    answers = self._exec.snapshots(list(live))
+                return answers, missing
             except ShardError as err:
                 if not rebuilt and self._handle_executor_failure(err, strict=strict):
                     rebuilt = True
-                    self._advance_recovered(err)
                 elif strict:
                     raise
                 else:
                     lost |= self._shards_of_error(err)
 
-    def _merge(self, views: dict):
-        """``merge_many`` over the views; None when no shard answered."""
-        if not views:
-            return None
+    def _merge(self, operands: list):
+        """One sketch from the workers' ``merge_many`` operands: a lone
+        operand already is one, more fold in the driver (None when no
+        shard answered)."""
+        if len(operands) <= 1:
+            return operands[0] if operands else None
         t = None if self._two_stream else self._t[0]
-        return merge_many(list(views.values()), t=t, require_aligned=True)
+        return merge_many(operands, t=t, require_aligned=True)
 
     def merged(self):
         """One sketch equal to observing the union stream unsharded.
 
         ``merge_many`` over the aligned shards, per
-        :mod:`repro.core.merge` semantics.  The merge only reads its
-        operands, so it folds the read-side shard views (``peeks``)
-        without copying them first.
+        :mod:`repro.core.merge` semantics: each worker folds its own
+        shards where they live and ships one operand.
         """
         started = time.perf_counter() if self._stages.enabled else None
-        out = self._merge(self._read(strict=True)[0])
+        out = self._merge(self._read(True, "merge")[0])
         self._observe_fanin(started)
         return out
 
@@ -1307,15 +1297,15 @@ class StreamEngine:
             shed_shards=tuple(sorted(shed)),
         )
 
-    def _answer(self, query: str, strict: bool, answer):
-        """Run ``answer(views)`` over one read and wrap the result:
-        the bare value when strict, a :class:`DegradedAnswer` otherwise.
-        Files one ``query_fanin`` stage sample either way."""
+    def _answer(self, query: str, strict: bool, op, answer, args=None):
+        """Run ``answer(answers)`` over one read of ``op`` and wrap the
+        result: the bare value when strict, a :class:`DegradedAnswer`
+        otherwise.  Files one ``query_fanin`` stage sample either way."""
         self._require_query(query)
         self.stats.record_query()
         started = time.perf_counter() if self._stages.enabled else None
-        views, missing = self._read(strict)
-        value = answer(views)
+        answers, missing = self._read(strict, op, args)
+        value = answer(answers)
         self._observe_fanin(started)
         return value if strict else self._degraded_answer(value, missing)
 
@@ -1325,36 +1315,54 @@ class StreamEngine:
         Keys hash-partition, so every arrival of a key lives on its
         owner: the owner's answer is the sketch's own, within the §5
         bound of the items that one shard holds, with no other shard's
-        load added.  Keys whose owner is missing read as the kind's
-        empty value (``False`` / ``0.0``).
+        load added.  Each worker gets only its shards' keys.  Keys
+        whose owner is missing read as the kind's empty value
+        (``False`` / ``0.0``).
         """
         method, empty = _POINT_QUERIES[query]
         keys = as_key_array(keys)
+        n = self.config.num_shards
+        owners = shard_ids(keys, n, self.config.shard_seed)
+        # the one partition routine, carrying each key's position in
+        # place of a time so answers land back in the caller's order
+        where = np.arange(keys.size, dtype=np.int64)
+        runs = partition(keys, where, owners, n)
 
-        def route(views: dict) -> np.ndarray:
+        def route(answers: list) -> np.ndarray:
             out = np.full(keys.shape, empty)
-            n = self.config.num_shards
-            owners = shard_ids(keys, n, self.config.shard_seed)
-            # the one partition routine, carrying each key's position in
-            # place of a time so answers land back in the caller's order
-            where = np.arange(keys.size, dtype=np.int64)
-            for s, keys_s, where_s in partition(keys, where, owners, n):
-                view = views.get(s)
-                if view is not None:
-                    out[where_s] = getattr(view, method)(keys_s, self._t[0])
+            got = {s: a for part in answers for s, a in part.items()}
+            for s, _keys_s, where_s in runs:
+                if s in got:
+                    out[where_s] = got[s]
             return out
 
-        return self._answer(query, strict, route)
+        return self._answer(
+            query, strict, method, route, {s: k for s, k, _w in runs}
+        )
 
-    def _whole(self, query: str, strict: bool, answer):
-        """A whole-array query: ``answer`` of the live shards' merge
-        (None when no shard answered)."""
+    def _whole(self, query: str, strict: bool, method: str, *margs):
+        """A whole-array query: ``method(*margs)`` of the live shards'
+        merge (None when no shard answered).
 
-        def fold(views: dict):
-            merged = self._merge(views)
-            return None if merged is None else answer(merged)
+        When one worker holds every live shard, its merge is the whole
+        merge, so it answers there and ships the value.  Otherwise each
+        worker ships its operand and the driver folds and answers.  A
+        read only loses shards, never gains them, so the one worker
+        stays the only one through the read's retries.
+        """
+        n = self.config.num_shards
+        workers = {self._exec.worker_of(s) for s in range(n) if s not in self._down}
+        if len(workers) <= 1:
+            return self._answer(
+                query, strict, ("answer", method, margs),
+                lambda answers: answers[0] if answers else None,
+            )
 
-        return self._answer(query, strict, fold)
+        def fold(operands: list):
+            merged = self._merge(operands)
+            return None if merged is None else getattr(merged, method)(*margs)
+
+        return self._answer(query, strict, "merge", fold)
 
     def contains(self, key: int, *, strict: bool = True):
         """Membership of ``key`` in the window (BF engines)."""
@@ -1371,7 +1379,7 @@ class StreamEngine:
 
     def cardinality(self, *, strict: bool = True):
         """Distinct keys in the window (BM / HLL engines)."""
-        return self._whole("cardinality", strict, lambda m: m.cardinality())
+        return self._whole("cardinality", strict, "cardinality")
 
     def frequency(self, key: int, *, strict: bool = True):
         """Windowed count of ``key`` (CM engines)."""
@@ -1394,7 +1402,7 @@ class StreamEngine:
 
     def similarity(self, *, strict: bool = True):
         """Jaccard similarity of the two streams (MH engines)."""
-        return self._whole("similarity", strict, lambda m: m.similarity())
+        return self._whole("similarity", strict, "similarity")
 
     def quantile(self, q: float, *, strict: bool = True):
         """The ``q``-quantile of the windowed measurements (WQ engines).
@@ -1406,27 +1414,32 @@ class StreamEngine:
         (approximately) the last ``window`` arrivals of the union
         stream.  NaN when the window holds no samples.
         """
-        return self._whole("quantile", strict, lambda m: m.quantile(q))
+        return self._whole("quantile", strict, "quantile", q)
 
     # -- observability -------------------------------------------------------
 
     @property
     def memory_bytes(self) -> int:
-        """Aggregate sketch memory across shards (buffers excluded)."""
-        return sum(s.memory_bytes for s in self._probe_views())
+        """Aggregate sketch memory across the live shards (buffers
+        excluded); each worker answers one int."""
+        return sum(self._scrape("memory"))
 
-    def _probe_views(self) -> list:
-        """Every shard's read-side view, for memory and probe reads.
+    def _scrape(self, op: str) -> list:
+        """One clockless ``read`` of ``op`` over the live shards: ints
+        and dicts come back, no shard moves and none advances.
 
-        A process executor's views are snapshot RPCs on the worker
-        pipes, so the round in flight settles first.  A serial
-        executor's views are its shards in place, read without
-        settling: the exporter probes serial engines from its own
-        thread, which must not change engine state.
+        A process executor's read is an RPC on the worker pipes, so the
+        round in flight settles first.  A serial executor reads its
+        shards in place without settling: the exporter scrapes serial
+        engines from its own thread, which must not change engine
+        state.
         """
         if not isinstance(self._exec, SerialExecutor):
             self._settle()
-        return self._exec.peeks()
+        live = {
+            s: None for s in range(self.config.num_shards) if s not in self._down
+        }
+        return self._exec.read(None, op, live)
 
     @property
     def down_shards(self) -> tuple[int, ...]:
@@ -1438,19 +1451,15 @@ class StreamEngine:
 
         Each entry is the shard sketch's :meth:`probe` dict — cell age
         distribution vs ``Tcycle``, young/perfect/aged counts, fill
-        ratio, cleaning telemetry — or ``None`` for down shards.  Reads
-        the in-process views (``peeks``): serial executors probe the
-        live shards, process executors probe snapshots shipped back
-        over RPC, so call this from the engine's own thread only.
+        ratio, cleaning telemetry — or ``None`` for down shards.  Each
+        worker probes its own live shards (a serial executor in place)
+        and returns the dicts, so on a process engine call this from
+        the engine's own thread only.
         """
         probed: list[dict | None] = [None] * self.config.num_shards
-        views = self._probe_views()
-        for s, sketch in enumerate(views):
-            if s in self._down:
-                continue
-            probe = getattr(sketch, "probe", None)
-            if probe is not None:
-                probed[s] = probe()
+        for part in self._scrape("probe"):
+            for s, probe in part.items():
+                probed[s] = probe
         return probed
 
     @staticmethod
@@ -1466,8 +1475,7 @@ class StreamEngine:
         Cheap no-op when observability is disabled.  The exporter calls
         this on scrape for serial engines; process deployments should
         call it from the engine thread (e.g. after a flush round), since
-        probing a process executor issues snapshot RPCs on the worker
-        pipes.
+        probing a process executor sends a ``read`` to every worker.
         """
         if not self.obs.enabled:
             return

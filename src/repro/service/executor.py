@@ -2,10 +2,11 @@
 
 The engine is a router; the executor owns the shard state and applies
 batches to it.  Two implementations share one protocol
-(``flush`` / ``send_many`` / ``settle`` / ``flush_many`` / ``advance`` /
-``snapshot`` / ``checkpoint`` / ``ping`` / ``close`` plus the worker
-topology helpers ``worker_of`` / ``shards_of`` / ``is_worker_alive`` /
-``restart_worker``, and ``set_obs`` to attach an observability bundle):
+(``send_many`` / ``settle`` / ``flush_many`` / ``read`` / ``snapshot``
+/ ``snapshots`` / ``checkpoint`` / ``ping`` / ``close`` plus the
+worker topology helpers ``worker_of`` / ``shards_of`` /
+``is_worker_alive`` / ``restart_worker``, and ``set_obs`` to attach an
+observability bundle):
 
 * :class:`SerialExecutor` keeps the sketches in-process — zero overhead
   per flush, the right default for one CPU.
@@ -26,6 +27,16 @@ while a process worker applies), but no other verb may run: a
 since its acknowledgements still sit in the worker pipes.
 :class:`SerialExecutor` applies at ``send_many`` and keeps any error
 for ``settle``, so both raise at the same call.
+
+Queries travel to the data.  ``read(clock, op, args)`` sends one
+message per worker that owns a listed shard; the worker advances those
+shards to the engine clock and answers ``op`` where they live
+(``_read_shards``): a point query's answers, one ``merge_many``
+operand of its shards (or, when it holds every live shard, the
+whole-array query's answer itself), or a scrape's ints and probe dicts.
+:class:`SerialExecutor` runs the same function in place.  Only
+``snapshot``/``snapshots`` (and ``checkpoint``, which writes in the
+worker) still move whole shards.
 
 Failure semantics (see :mod:`repro.service.errors`): every
 ``ProcessExecutor`` RPC carries a deadline enforced with
@@ -58,6 +69,7 @@ import traceback
 
 import numpy as np
 
+from repro.core.merge import merge_many
 from repro.obs import OBS_DISABLED
 from repro.obs.tracing import span_record
 from repro.persist import save_sketch
@@ -91,11 +103,63 @@ def _apply_flush(sketch, keys: np.ndarray, times: np.ndarray, side: int | None) 
         sketch.insert_at(keys, times)
 
 
-def _apply_advance(sketch, t: int, side: int | None) -> None:
+def _advance(sketch, clock) -> None:
+    # a two-stream sketch keeps one clock per side, as the engine does
     if getattr(sketch, "two_stream", False):
-        sketch.advance_to(t, side)
+        for side, t in enumerate(clock):
+            sketch.advance_to(t, side)
     else:
-        sketch.advance_to(t)
+        sketch.advance_to(clock[0])
+
+
+def _read_shards(shards, clock, op, args: dict):
+    """The ``read`` verb, run where the shards live.
+
+    Advances every shard listed in ``args`` (shard id -> argument) to
+    the engine ``clock`` (skipped when None: a scrape changes no
+    state), then answers ``op`` over them:
+
+    * ``None``: nothing more (a read that only aligns clocks);
+    * ``"merge"``: one ``merge_many`` operand of the listed shards,
+      a fresh sketch at the clock;
+    * ``("answer", method, margs)``: ``method(*margs)`` of that
+      operand, when the listed shards are all the live ones;
+    * ``"memory"``: their summed ``memory_bytes``;
+    * ``"probe"``: ``{shard: probe dict, or None without a probe}``;
+    * a point method (``"contains_many"`` / ``"frequency_many"``):
+      ``{shard: answers}`` for every shard whose argument is a key
+      array, read at the clock.
+    """
+    if clock is not None:
+        for s in args:
+            _advance(shards[s], clock)
+    if op is None:
+        return None
+    if op == "merge" or isinstance(op, tuple):
+        t = clock[0] if len(clock) == 1 else None  # two-stream: per side
+        merged = merge_many([shards[s] for s in args], t=t, require_aligned=True)
+        if op == "merge":
+            return merged
+        _, method, margs = op
+        return getattr(merged, method)(*margs)
+    if op == "memory":
+        return sum(shards[s].memory_bytes for s in args)
+    if op == "probe":
+        probes = {s: getattr(shards[s], "probe", None) for s in args}
+        return {s: None if p is None else p() for s, p in probes.items()}
+    return {
+        s: getattr(shards[s], op)(keys, clock[0])
+        for s, keys in args.items() if keys is not None
+    }
+
+
+def _by_worker(executor, args: dict) -> dict[int, dict]:
+    """``args`` (shard id -> argument) split per owning worker, in
+    worker order."""
+    parts: dict[int, dict] = {}
+    for s, arg in args.items():
+        parts.setdefault(executor.worker_of(s), {})[s] = arg
+    return dict(sorted(parts.items()))
 
 
 def _round_error(errors: list, failed_shards) -> ShardError:
@@ -208,8 +272,10 @@ class SerialExecutor:
         self.send_many(batches, trace)
         self.settle()
 
-    def advance(self, shard_id: int, t: int, side: int | None = None) -> None:
-        _apply_advance(self._shards[shard_id], t, side)
+    def read(self, clock, op, args: dict) -> list:
+        """The ``read`` verb in place: ``[answer]`` of the one worker,
+        or ``[]`` when no shard is listed."""
+        return [_read_shards(self._shards, clock, op, args)] if args else []
 
     def snapshot(self, shard_id: int):
         """An isolated copy of one shard, safe to merge or mutate."""
@@ -220,18 +286,6 @@ class SerialExecutor:
         if shard_ids is None:
             shard_ids = range(self.num_shards)
         return [self.snapshot(s) for s in shard_ids]
-
-    def peeks(self, shard_ids=None) -> list:
-        """Read-side views of the listed shards (all by default), not
-        copied.
-
-        Callers may run point queries and ``merge_many``, which only
-        read frames, but must not insert or run whole-array queries
-        (``prepare_query_all`` cleans in place).
-        """
-        if shard_ids is None:
-            return self._shards
-        return [self._shards[s] for s in shard_ids]
 
     def checkpoint(self, shard_id: int, path) -> None:
         save_sketch(self._shards[shard_id], path)
@@ -290,10 +344,8 @@ def _worker_main(conn, shards: dict) -> None:
                                 t0, dur_ms, shard=sid, items=int(keys.size),
                             ),
                         ))
-                elif cmd == "advance":
-                    sid, t, side = args
-                    _apply_advance(shards[sid], t, side)
-                    conn.send(("ok", None))
+                elif cmd == "read":
+                    conn.send(("ok", _read_shards(shards, *args)))
                 elif cmd == "snapshot":
                     (sid,) = args
                     conn.send(("ok", shards[sid]))
@@ -621,8 +673,37 @@ class ProcessExecutor:
         self.send_many(batches, trace)
         self.settle()
 
-    def advance(self, shard_id: int, t: int, side: int | None = None) -> None:
-        self._call(shard_id, "advance", shard_id, t, side)
+    def read(self, clock, op, args: dict) -> list:
+        """One ``read`` message per worker owning a shard listed in
+        ``args`` (shard id -> argument), each carrying only its own
+        shards; returns the answers in worker order.
+
+        Every worker's answer is drained even after one fails, so the
+        surviving workers' pipes stay in protocol sync; the first error
+        is re-raised afterwards, naming the failed worker's shards.
+        """
+        self._require_settled()
+        started = time.perf_counter()
+        parts = _by_worker(self, args)
+        sent: list[int] = []
+        first_error: ShardError | None = None
+        for w, part in parts.items():
+            try:
+                self._send(w, ("read", clock, op, part), shard_ids=tuple(part))
+            except ShardDeadError as exc:
+                first_error = first_error or exc
+                continue
+            sent.append(w)
+        out = []
+        for w in sent:
+            try:
+                out.append(self._recv(w, op="read", shard_ids=tuple(parts[w])))
+            except ShardError as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
+        self._h_rpc.labels("read", "all").observe(time.perf_counter() - started)
+        return out
 
     def snapshot(self, shard_id: int):
         return self._call(shard_id, "snapshot", shard_id)
@@ -667,10 +748,6 @@ class ProcessExecutor:
         if first_error is not None:
             raise first_error
         return [out[s] for s in shard_ids]
-
-    def peeks(self, shard_ids=None) -> list:
-        """Worker-owned shards can only be observed by copying."""
-        return self.snapshots(shard_ids)
 
     def checkpoint(self, shard_id: int, path) -> None:
         self._call(shard_id, "checkpoint", shard_id, path)

@@ -3,13 +3,13 @@
 Real crash tests are flaky by construction — a SIGKILL lands between
 two unknowable instructions.  :class:`ChaosExecutor` instead wraps any
 executor and injects failures at exact *operation indices*: the N-th
-forwarded data op (flush batch / advance / snapshot / checkpoint,
-counted from 1) can kill the owning worker, stall it past the RPC
-deadline, apply-but-drop the acknowledgement, or corrupt the checkpoint
-file it just wrote.  Because the engine's op sequence is a pure
-function of the ingested stream, every chaos run is exactly
-reproducible — the supervision tests assert bit-identical recovery, not
-"it eventually worked".
+forwarded data op (flush batch / each shard a read advances /
+snapshot / checkpoint, counted from 1) can kill the owning worker,
+stall it past the RPC deadline, apply-but-drop the acknowledgement, or
+corrupt the checkpoint file it just wrote.  Because the engine's op
+sequence is a pure function of the ingested stream, every chaos run is
+exactly reproducible — the supervision tests assert bit-identical
+recovery, not "it eventually worked".
 
 Fault semantics:
 
@@ -61,7 +61,7 @@ from repro.service.errors import (
     ShardFailedError,
     ShardTimeoutError,
 )
-from repro.service.executor import _round_error
+from repro.service.executor import _by_worker, _round_error
 
 __all__ = ["ChaosExecutor"]
 
@@ -237,13 +237,17 @@ class ChaosExecutor:
             self._stall(worker_id, self._delay_ops[n])
         return n
 
-    def _run(self, shard_id: int, fn, *args, op: str):
-        worker_id = self.worker_of(shard_id)
-        n = self._before_op(worker_id)
-        self._guard(worker_id, shard_ids=(shard_id,))
-        self._maybe_slow(worker_id, shard_ids=(shard_id,))
+    def _run(self, worker_id: int, shard_ids: tuple, ops: int, fn, *args,
+             op: str):
+        """Forward one call to ``worker_id`` as ``ops`` countable ops;
+        with none (a scrape) it pays no slowness, but deaths apply."""
+        ns = [self._before_op(worker_id) for _ in range(ops)]
+        self._guard(worker_id, shard_ids=shard_ids)
+        if ops:
+            self._maybe_slow(worker_id, shard_ids=shard_ids)
         result = fn(*args)
-        if n in self._drop_ack_ops:
+        n = next((n for n in ns if n in self._drop_ack_ops), None)
+        if n is not None:
             # the op applied, but the caller must believe the ack vanished;
             # poison a real worker pool the way a genuine lost ack would
             self._chaos_events.labels("drop_ack").inc()
@@ -252,7 +256,7 @@ class ChaosExecutor:
                 poisoned.add(worker_id)
             raise ShardTimeoutError(
                 f"chaos dropped the acknowledgement of {op} (op {n})",
-                shard_ids=(shard_id,), worker_ids=(worker_id,),
+                shard_ids=shard_ids, worker_ids=(worker_id,),
             )
         return result
 
@@ -322,24 +326,33 @@ class ChaosExecutor:
         self.send_many(batches, trace)
         self.settle()
 
-    def advance(self, shard_id: int, t: int, side: int | None = None) -> None:
-        self._run(shard_id, self._inner.advance, shard_id, t, side, op="advance")
+    def read(self, clock, op, args: dict) -> list:
+        """Per-worker forwarding, in worker order.
+
+        A worker's read counts one op per shard it advances, as the
+        per-shard advances it replaces did, so a schedule's op indices
+        keep their meaning; a fault at any of them fails the worker's
+        whole read.  A clockless scrape advances nothing and counts no
+        op.
+        """
+        out = []
+        for w, part in _by_worker(self, args).items():
+            out.extend(self._run(
+                w, tuple(part), len(part) if clock is not None else 0,
+                self._inner.read, clock, op, part, op="read",
+            ))
+        return out
 
     def snapshot(self, shard_id: int):
-        return self._run(shard_id, self._inner.snapshot, shard_id, op="snapshot")
+        return self._run(
+            self.worker_of(shard_id), (shard_id,), 1, self._inner.snapshot,
+            shard_id, op="snapshot",
+        )
 
     def snapshots(self, shard_ids=None) -> list:
         if shard_ids is None:
             shard_ids = range(self.num_shards)
         return [self.snapshot(s) for s in shard_ids]
-
-    def peeks(self, shard_ids=None) -> list:
-        """Read-only views are not ops; simulated deaths of the workers
-        owning the listed shards still apply."""
-        ids = range(self.num_shards) if shard_ids is None else shard_ids
-        for w in sorted(self._dead & {self.worker_of(s) for s in ids}):
-            self._guard(w, shard_ids=tuple(self.shards_of(w)))
-        return self._inner.peeks(shard_ids)
 
     def checkpoint(self, shard_id: int, path) -> None:
         worker_id = self.worker_of(shard_id)

@@ -6,6 +6,7 @@ touched groups at ``t`` would leave (on the hardware frame the
 sweep to ``t``), and ``read_all(t)`` exactly what
 ``prepare_query_all(t)`` would leave — while writing nothing: cells,
 marks, the sweep position and the cleaning counters stay as they were.
+``read_mature(indices, t)`` must equal ``read`` and ``mature_mask``.
 """
 
 import copy
@@ -132,8 +133,12 @@ class TestReadMatchesCleaning:
             for t in (t0, t0 + 1, t0 + int(rng.integers(0, 3 * f.t_cycle))):
                 before = _state(f)
                 got = f.read(idx, t)
+                vals, mature = f.read_mature(idx, t)
                 _assert_unchanged(f, before)
                 assert np.array_equal(got, _cleaned_point(f, idx, t)), (trial, t)
+                # the point-query read: one group_of pass, same answers
+                assert np.array_equal(vals, got) and vals.dtype == got.dtype
+                assert np.array_equal(mature, f.mature_mask(idx, t)), (trial, t)
 
     def test_read_all(self, make):
         rng = np.random.default_rng(12)

@@ -66,6 +66,22 @@ class TestSheHll:
         h.insert_many(np.arange(10_000, dtype=np.uint64))
         assert int(h.frame.cells.max()) <= 31
 
+    @pytest.mark.parametrize("n_items", [40, 300, 5000])
+    def test_estimate_equals_the_exp2_formula(self, frame, n_items):
+        """The looked-up ``2^-rank`` terms give the textbook estimate
+        bit for bit, in the linear-counting range and out of it."""
+        h = SheHyperLogLog(2048, 512, frame=frame, seed=9)
+        h.insert_many(np.random.default_rng(n_items).integers(
+            0, 1 << 40, size=n_items, dtype=np.uint64))
+        got = h.cardinality()
+        legal = h.frame.legal_groups(h.t)
+        k = int(np.count_nonzero(legal))
+        regs = h.frame.cells[legal].astype(np.float64)
+        est = hll_alpha(k) * k * k / float(np.sum(np.exp2(-regs)))
+        if est <= 2.5 * k and np.count_nonzero(regs == 0):
+            est = k * float(np.log(k / np.count_nonzero(regs == 0)))
+        assert got == est * h.num_registers / k
+
     def test_from_memory(self):
         h = SheHyperLogLog.from_memory(128, 128)
         assert h.memory_bytes <= 128

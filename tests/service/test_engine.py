@@ -329,7 +329,7 @@ class TestFanInRejections:
         # merged: poke one shard's clock backwards behind the others
         eng._exec._shards[1].t -= 7
         with pytest.raises(ValueError, match="drifted"):
-            merge_many(eng._exec.peeks(), require_aligned=True)
+            merge_many(eng._exec._shards, require_aligned=True)
         # the query fan-in advances shards to the global clock first,
         # healing a *behind* shard; a shard AHEAD of the union clock
         # cannot be healed and is rejected end to end

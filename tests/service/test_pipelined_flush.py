@@ -210,7 +210,7 @@ class _Spy:
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
-        if name in ("advance", "snapshot", "snapshots", "peeks",
+        if name in ("read", "snapshot", "snapshots",
                     "checkpoint", "ping", "restart_worker", "flush_many"):
             def verb(*args, **kwargs):
                 assert self.in_flight == 0, f"{name} with a round in flight"

@@ -279,7 +279,7 @@ class TestDegradedQueries:
         try:
             eng.ingest(np.arange(500, dtype=np.uint64))
             eng.flush()
-            # stall worker 0 on its next op (the query's advance)
+            # stall worker 0 on its next op (the query's read)
             chaos["x"]._delay_ops = {chaos["x"].ops + 1: 1.0}
             t0 = time.monotonic()
             res = eng.frequency_many(np.arange(10, dtype=np.uint64),
@@ -406,9 +406,11 @@ class TestUnreadableBase:
 
 
 class TestRecoveryMidSync:
-    """A worker killed while ``_sync`` advances its shards comes back
-    with every shard at its replayed clock, including those the sync
-    had already advanced; all of them must be caught up again."""
+    """A worker killed on the read that aligns its shards before
+    ``snapshots()`` ships them comes back with every shard at its
+    replayed clock; the retried read must catch all of them up.  Chaos
+    counts that read as one op per shard it advances (ops 21-24 here),
+    so a kill at any of them fails the worker's whole read."""
 
     @pytest.mark.parametrize("kill_at", [22, 23, 24])
     def test_every_shard_reaches_the_engine_clock(
@@ -427,7 +429,7 @@ class TestRecoveryMidSync:
                 eng.ingest(stream[lo:lo + 500])
             eng.flush()
             shards = eng.snapshots()
-            # the kill landed on an advance inside snapshots()' sync
+            # the kill landed on the aligning read inside snapshots()
             assert eng._exec.kills and eng._exec.kills[0][0] == kill_at
             assert eng.stats.worker_restarts == 1
             assert eng.down_shards == ()
@@ -461,7 +463,7 @@ class TestRecoveryMidRead:
             eng.flush()
             ops_before = eng._exec.ops
             shards = eng.snapshots()
-            # the kill landed on a snapshot op, after the sync's advances
+            # the kill landed on a snapshot op, after the aligning read
             assert eng._exec.kills and eng._exec.kills[0][0] == kill_at
             assert kill_at > ops_before + config.num_shards
             assert eng.stats.worker_restarts == 1
@@ -485,16 +487,15 @@ class TestRecoveryMidRead:
             eng, tmp_path,
             policy=RetryPolicy(max_restarts=2, backoff_base_s=0.0),
         )
-        real_peeks = chaos.peeks
+        real_read = chaos.read
 
-        def dying_peeks(*args):
-            # a process executor's peeks is a snapshot RPC: the worker
-            # can die under it
+        def dying_read(*args):
+            # a query's read is an RPC to the worker: it can die under it
             if not chaos.kills:
                 chaos._kill(0)
-            return real_peeks(*args)
+            return real_read(*args)
 
-        monkeypatch.setattr(chaos, "peeks", dying_peeks)
+        monkeypatch.setattr(chaos, "read", dying_read)
         try:
             chunked_ingest(eng, stream)
             got = query(eng)

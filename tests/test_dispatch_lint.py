@@ -33,9 +33,12 @@ names the ring or the knobs that selected it.
 
 A fifth rule keeps engine queries on one read path.  Point queries read
 each key's owning shard and whole-array queries merge the live shards,
-both through ``StreamEngine._read``; so neither the descriptor's
-per-kind fan-in choice (``query_fanin``) nor the engine's three
-separate read routines it replaced are named under ``src/``.  The
+both through ``StreamEngine._read`` and the executors' one ``read``
+verb, which answers where the shards live; so neither the descriptor's
+per-kind fan-in choice (``query_fanin``), nor the engine's three
+separate read routines ``_read`` replaced, nor the whole-shard view
+fan-out the ``read`` verb replaced (the executors' ``peeks`` and the
+engine's ``_probe_views``) are named under ``src/``.  The
 ``query_fanin`` latency stage keeps its name, so that name is allowed
 as a string.
 
@@ -117,11 +120,14 @@ REMOVED_TRANSPORT_NAMES = {
     "REPRO_TRANSPORT",
 }
 
-#: the engine read routines ``StreamEngine._read`` replaced
+#: the engine read routines ``StreamEngine._read`` replaced, and the
+#: shard-view fan-out the executors' ``read`` verb replaced
 REMOVED_READ_NAMES = {
     "_surviving_snapshots",
     "_degraded_merged",
     "_synced_read",
+    "peeks",
+    "_probe_views",
 }
 
 #: the removed descriptor field; as a string it is the stage name
@@ -426,16 +432,22 @@ def test_read_path_lint_detects_violations(tmp_path):
         "        return engine._synced_read(engine._exec.peeks)\n"
         "    snaps, missing = engine._surviving_snapshots()\n"
         "    getattr(engine, '_degraded_merged')()\n"
+        "    views = engine._probe_views()\n"
         "    return Descriptor(kind='cm', query_fanin='sum')\n"
+        "class Executor:\n"
+        "    def peeks(self, shard_ids=None):\n"
+        "        return self._shards\n"
         "# engine._synced_read() in a comment is fine\n"
         "STAGES = ('apply', 'query_fanin')\n"
     )
     found = _read_path_violations(bad)
-    assert len(found) == 6
+    assert len(found) == 9
     assert sum("descriptor field query_fanin" in f for f in found) == 3
     assert any("_synced_read" in f for f in found)
     assert any("_surviving_snapshots" in f for f in found)
     assert any("_degraded_merged" in f for f in found)
+    assert sum("routine peeks" in f for f in found) == 2
+    assert any("_probe_views" in f for f in found)
 
 
 def _batch_path_violations(path: Path, executor_module: bool) -> list[str]:
