@@ -179,7 +179,7 @@ class SheSketchBase:
 
     def insert(self, key: int) -> None:
         """Insert one item at the current time."""
-        self.insert_many(np.asarray([key], dtype=np.uint64))
+        self.insert_many(as_key_array([key]))
 
     def insert_many(self, keys) -> None:
         """Insert a batch of items at consecutive times, oldest first."""
@@ -200,15 +200,22 @@ class SheSketchBase:
         Times must start at or after the current clock; afterwards the
         clock sits just past the last arrival.
         """
+        arr, times = self._arrivals(keys, times)
+        if arr.size:
+            self._insert_at(arr, times)
+            self.t = int(times[-1]) + 1
+
+    def _arrivals(self, keys, times) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, times)`` as the arrays :meth:`insert_at` applies,
+        checked as it requires: aligned, non-decreasing and, when not
+        empty, starting at or after the clock."""
         arr = as_key_array(keys)
         times = np.asarray(times, dtype=np.int64)
         if arr.shape != times.shape:
             raise ValueError(
                 f"keys ({arr.shape}) and times ({times.shape}) must align"
             )
-        if arr.size == 0:
-            return
-        if int(times[0]) < self.t:
+        if arr.size and int(times[0]) < self.t:
             raise ValueError(
                 f"times must start at or after the clock ({self.t}), "
                 f"got {int(times[0])}"
@@ -216,8 +223,7 @@ class SheSketchBase:
         # shifted views: one compare, no int64 temporary
         if (times[1:] < times[:-1]).any():
             raise ValueError("times must be non-decreasing")
-        self._insert_at(arr, times)
-        self.t = int(times[-1]) + 1
+        return arr, times
 
     def _insert_at(self, keys: np.ndarray, times: np.ndarray) -> None:
         # hash first: a subclass without the hook fails here with
@@ -235,3 +241,21 @@ class SheSketchBase:
         block (``(1, n)`` for one touch per key).
         """
         raise NotImplementedError
+
+    # -- point queries -------------------------------------------------------
+
+    #: ``_point_answer(vals, mature)``: the per-kind reduction of a point
+    #: query (SHE-BF membership, SHE-CM frequency) from the ``(k, n)``
+    #: values and maturity of the cells each key's insert touches; None
+    #: for kinds without a point query
+    _point_answer = None
+
+    def _read_point(self, keys: np.ndarray, t: int) -> np.ndarray:
+        """The point query's answer per key at ``t``: the cells the keys'
+        inserts touch, read through the frame in one
+        :meth:`~repro.core.hardware_frame.HardwareFrame.read_mature`
+        pass and reduced by :meth:`_point_answer`.  A stack of shards
+        reads the same way over its base (:mod:`repro.core.stack`)."""
+        idx = self._touch_columns(keys, None)[1]  # (k, n)
+        vals, mature = self.frame.read_mature(idx.reshape(-1), t)
+        return self._point_answer(vals.reshape(idx.shape), mature.reshape(idx.shape))

@@ -331,14 +331,17 @@ def _apply_scattered(
     if values is not None:
         values = values.T.reshape(-1)
     gids = frame.group_of(cell_idx)
-    parity = _touch_parity(frame, times, gids)
+    # the mark arithmetic takes ids within a block, storage the ids
+    # over the whole array: one and the same unless the frame stacks
+    # several blocks (repro.core.stack)
+    parity = _touch_parity(frame, times, frame._block_gids(gids))
 
     marks = frame.marks
     # a group resets iff one of its touches differs from its stored mark
     stale = np.flatnonzero(marks.take(gids) != parity)
     rows = gids.take(stale)
     # the stale touches' positions tag them apart for the dedup
-    frame._reset_groups(_distinct(rows, stale, frame.num_groups))
+    frame._reset_groups(_distinct(rows, stale, marks.size))
     # the last write per group wins, and item-major touches end on each
     # group's latest: every touched mark now holds its last parity
     marks[gids] = parity

@@ -212,15 +212,26 @@ class HardwareFrame:
         self._reset_groups(np.flatnonzero(self.marks != cur))
         self.marks[:] = cur
 
+    def _block_gids(self, gids: np.ndarray) -> np.ndarray:
+        """Each group id's place in its block of ``G`` groups, the id the
+        mark arithmetic (:meth:`_phase`, :meth:`_mark_split`,
+        :meth:`_aged_run`) takes: ``gids`` itself here, where the arrays
+        hold one block (a :class:`~repro.core.stack.StackedFrame` holds
+        several)."""
+        return gids
+
     def read(self, indices: np.ndarray, t: int) -> np.ndarray:
         """``cells[indices]`` as cleaning the touched groups at ``t``
         would leave them, without writing the frame: a cell whose group
         is stale (stored mark != current mark) reads as empty."""
         idx = as_index_array(indices)
-        return self._read_gids(idx, self.group_of(idx), t)
+        gids = self.group_of(idx)
+        return self._read_gids(idx, gids, self._block_gids(gids), t)
 
-    def _read_gids(self, idx: np.ndarray, gids: np.ndarray, t: int) -> np.ndarray:
-        stale = self.marks.take(gids) != self._current_marks(gids, t)
+    def _read_gids(
+        self, idx: np.ndarray, gids: np.ndarray, local: np.ndarray, t: int
+    ) -> np.ndarray:
+        stale = self.marks.take(gids) != self._current_marks(local, t)
         vals = self.cells.take(idx)
         vals[stale] = self.empty_value
         return vals
@@ -230,8 +241,9 @@ class HardwareFrame:
         of :meth:`group_of` over the indices."""
         idx = as_index_array(indices)
         gids = self.group_of(idx)
-        vals = self._read_gids(idx, gids, t)
-        return vals, self._gids_aged_at_least(gids, t, self.window)
+        local = self._block_gids(gids)
+        vals = self._read_gids(idx, gids, local, t)
+        return vals, self._gids_aged_at_least(local, t, self.window)
 
     def read_all(self, t: int) -> np.ndarray:
         """A fresh copy of ``cells`` as :meth:`prepare_query_all` at
@@ -269,9 +281,10 @@ class HardwareFrame:
         return legal
 
     def reset(self) -> None:
-        """Return the frame to its empty t=0 state."""
+        """Return the frame to its empty t=0 state, in place: the arrays
+        may be blocks of a stack's base (:mod:`repro.core.stack`)."""
         self.cells.fill(self.empty_value)
-        self.marks = self._current_marks_all(0)
+        self.marks[:] = self._current_marks_all(0)
         self.cleaning_checks = 0
         self.groups_cleaned = 0
         self.cells_cleaned = 0

@@ -81,20 +81,17 @@ class SheBloomFilter(SheSketchBase):
 
     def contains(self, key: int, t: int | None = None) -> bool:
         """Did ``key`` appear within the last N items? (no false negatives)"""
-        return bool(self.contains_many(np.asarray([key], dtype=np.uint64), t)[0])
+        return bool(self.contains_many(as_key_array([key]), t)[0])
 
     def contains_many(self, keys, t: int | None = None) -> np.ndarray:
         """Vectorised membership test for a batch of keys."""
-        t = self._resolve_time(t)
-        keys = as_key_array(keys)
-        idx = self.hashes.indices(keys, self.num_bits).T  # (k, n)
-        bits, mature = self.frame.read_mature(idx.reshape(-1), t)
-        bits = bits.reshape(idx.shape)
-        mature = mature.reshape(idx.shape)
+        return self._read_point(as_key_array(keys), self._resolve_time(t))
+
+    @staticmethod
+    def _point_answer(bits: np.ndarray, mature: np.ndarray) -> np.ndarray:
         # evidence of absence: a mature mapped bit that is 0 (bits hold
         # 0/1, so ``mature > bits`` is ``mature & (bits == 0)``)
-        absent = np.any(mature > bits, axis=0)
-        return ~absent
+        return ~np.any(mature > bits, axis=0)
 
     def _probe_extra(self) -> dict:
         return {"num_bits": self.num_bits, "num_hashes": self.num_hashes}

@@ -83,16 +83,15 @@ class SheCountMin(SheSketchBase):
 
     def frequency(self, key: int, t: int | None = None) -> float:
         """Estimate how many times ``key`` appeared in the window."""
-        return float(self.frequency_many(np.asarray([key], dtype=np.uint64), t)[0])
+        return float(self.frequency_many(as_key_array([key]), t)[0])
 
     def frequency_many(self, keys, t: int | None = None) -> np.ndarray:
         """Vectorised frequency estimates for a batch of keys."""
-        t = self._resolve_time(t)
-        keys = as_key_array(keys)
-        idx = self.hashes.indices(keys, self.num_counters).T  # (k, n)
-        counts, mature = self.frame.read_mature(idx.reshape(-1), t)
-        counts = counts.reshape(idx.shape).astype(np.float64)
-        mature = mature.reshape(idx.shape)
+        return self._read_point(as_key_array(keys), self._resolve_time(t))
+
+    @staticmethod
+    def _point_answer(counts: np.ndarray, mature: np.ndarray) -> np.ndarray:
+        counts = counts.astype(np.float64)
         # min over mature counters; fall back to min over all if none mature
         masked = np.where(mature, counts, np.inf)
         est = np.min(masked, axis=0)

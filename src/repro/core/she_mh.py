@@ -98,7 +98,7 @@ class SheMinHash:
 
     def insert(self, side: int, key: int) -> None:
         """Insert one item into stream ``side`` (0 or 1)."""
-        self.insert_many(side, np.asarray([key], dtype=np.uint64))
+        self.insert_many(side, as_key_array([key]))
 
     def insert_many(self, side: int, keys) -> None:
         """Insert a batch into stream ``side`` at consecutive times."""

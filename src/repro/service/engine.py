@@ -74,6 +74,7 @@ import numpy as np
 from repro.common.validation import as_key_array, require_positive_int
 from repro.core.merge import merge_many
 from repro.core.registry import get_descriptor, registered_kinds
+from repro.core.stack import stacked_clones
 from repro.obs import Observability, new_id, span_record
 from repro.obs.probes import AGE_HIST_BINS
 from repro.service.errors import (
@@ -330,7 +331,8 @@ class DegradedAnswer:
 def _build_shards(config: EngineConfig) -> list:
     desc = config.descriptor()
     proto = desc.build(config.window, config.size, **config.sketch_kwargs)
-    return [proto] + [proto.clone_empty() for _ in range(config.num_shards - 1)]
+    # one base array each for the shards' cells and marks (repro.core.stack)
+    return stacked_clones(proto, config.num_shards)
 
 
 class _ShardBuffer:
@@ -1366,7 +1368,7 @@ class StreamEngine:
 
     def contains(self, key: int, *, strict: bool = True):
         """Membership of ``key`` in the window (BF engines)."""
-        res = self.contains_many(np.asarray([key], dtype=np.uint64), strict=strict)
+        res = self.contains_many(as_key_array([key]), strict=strict)
         if strict:
             return bool(res[0])
         return dataclasses.replace(res, value=bool(res.value[0]))
@@ -1383,7 +1385,7 @@ class StreamEngine:
 
     def frequency(self, key: int, *, strict: bool = True):
         """Windowed count of ``key`` (CM engines)."""
-        res = self.frequency_many(np.asarray([key], dtype=np.uint64), strict=strict)
+        res = self.frequency_many(as_key_array([key]), strict=strict)
         if strict:
             return float(res[0])
         return dataclasses.replace(res, value=float(res.value[0]))

@@ -21,6 +21,10 @@ bit-identical shard state, which the equivalence tests assert.
 A flush round has two phases.  ``send_many`` ships its batches and
 returns; ``settle`` collects the acknowledgements and raises the
 round's typed error, if any.  ``flush_many`` is the two back to back.
+Each worker applies its share of a round with one routine,
+``_apply_round``: in one kernel call over its shards' stacked base
+(:mod:`repro.core.stack`) where the round's size allows, shard by
+shard otherwise, with the same shard state either way.
 Between them the caller may do other work (the engine keeps ingesting
 while a process worker applies), but no other verb may run: a
 :class:`ProcessExecutor` refuses RPCs while a round is in flight,
@@ -53,8 +57,8 @@ histogram, and a flush carrying a ``(trace_id, parent_span_id)``
 context is traced *across the process boundary* — the worker times the
 sketch apply, ships a ``worker.apply`` span dict back on the
 acknowledgement, and the parent files it in its span ring, so one
-batch's journey main-process → worker → sketch-apply reads as one
-trace.  ``restart_worker`` is the *mechanism*
+round's journey main-process → worker → sketch-apply reads as one
+trace, one apply span per worker message tagged with its shards.  ``restart_worker`` is the *mechanism*
 half of recovery — it respawns one worker with caller-provided shard
 state; the *policy* half (what state: checkpoint + replay) lives in
 :class:`repro.service.supervisor.Supervisor`.
@@ -70,6 +74,7 @@ import traceback
 import numpy as np
 
 from repro.core.merge import merge_many
+from repro.core.stack import stack_shards
 from repro.obs import OBS_DISABLED
 from repro.obs.tracing import span_record
 from repro.persist import save_sketch
@@ -94,13 +99,44 @@ _RPC_BUCKETS = (
 )
 
 
-def _apply_flush(sketch, keys: np.ndarray, times: np.ndarray, side: int | None) -> None:
-    # two-stream sketches (the SHE-MH shape) take the stream side first;
-    # the class attribute is the dispatch point, not the concrete type
-    if getattr(sketch, "two_stream", False):
-        sketch.insert_at(0 if side is None else side, keys, times)
-    else:
-        sketch.insert_at(keys, times)
+class _RoundFailed(Exception):
+    """A round stopped by a failed batch: ``shard_ids`` names every shard
+    whose batch is not known to have applied; the cause is chained."""
+
+    def __init__(self, shard_ids: tuple):
+        super().__init__(shard_ids)
+        self.shard_ids = shard_ids
+
+
+def _apply_round(shards, stack, batches: list) -> None:
+    """Apply one worker's round of ``(shard_id, keys, times, side)``
+    batches: the one routine behind both executors' ``send_many``.
+
+    A round that :meth:`~repro.core.stack.ShardStack.prepare` admits
+    goes through one stacked kernel call; any other (one batch, rounds
+    spanning a ``Tcycle`` or of ``M`` touches or more, unstacked
+    shards, two-stream sketches, a batch ``insert_at`` would refuse)
+    applies batch by batch in order.  Both leave every shard's state
+    bit-identical to the other.  A failure raises :class:`_RoundFailed`.
+    """
+    prepared = stack.prepare(batches) if stack is not None else None
+    if prepared is not None:
+        try:
+            stack.apply(prepared)
+        except Exception as exc:
+            raise _RoundFailed(tuple(b[0] for b in batches)) from exc
+        return
+    for i, (shard_id, keys, times, side) in enumerate(batches):
+        sketch = shards[shard_id]
+        try:
+            # two-stream sketches (the SHE-MH shape) take the stream side
+            # first; the class attribute is the dispatch point
+            if getattr(sketch, "two_stream", False):
+                sketch.insert_at(0 if side is None else side, keys, times)
+            else:
+                sketch.insert_at(keys, times)
+        except Exception as exc:
+            raise _RoundFailed(tuple(b[0] for b in batches[i:])) from exc
 
 
 def _advance(sketch, clock) -> None:
@@ -112,7 +148,7 @@ def _advance(sketch, clock) -> None:
         sketch.advance_to(clock[0])
 
 
-def _read_shards(shards, clock, op, args: dict):
+def _read_shards(shards, stack, clock, op, args: dict):
     """The ``read`` verb, run where the shards live.
 
     Advances every shard listed in ``args`` (shard id -> argument) to
@@ -128,7 +164,9 @@ def _read_shards(shards, clock, op, args: dict):
     * ``"probe"``: ``{shard: probe dict, or None without a probe}``;
     * a point method (``"contains_many"`` / ``"frequency_many"``):
       ``{shard: answers}`` for every shard whose argument is a key
-      array, read at the clock.
+      array, read at the clock: in one stacked read over the base when
+      ``stack`` holds those shards (``ShardStack.read_point``), else
+      shard by shard.
     """
     if clock is not None:
         for s in args:
@@ -147,10 +185,10 @@ def _read_shards(shards, clock, op, args: dict):
     if op == "probe":
         probes = {s: getattr(shards[s], "probe", None) for s in args}
         return {s: None if p is None else p() for s, p in probes.items()}
-    return {
-        s: getattr(shards[s], op)(keys, clock[0])
-        for s, keys in args.items() if keys is not None
-    }
+    keys = {s: k for s, k in args.items() if k is not None}
+    if stack is not None and stack.reads(op, keys):
+        return stack.read_point(keys, clock[0])
+    return {s: getattr(shards[s], op)(k, clock[0]) for s, k in keys.items()}
 
 
 def _by_worker(executor, args: dict) -> dict[int, dict]:
@@ -190,6 +228,7 @@ class SerialExecutor:
 
     def __init__(self, shards, *, obs=None):
         self._shards = list(shards)
+        self._stack = stack_shards(dict(enumerate(self._shards)))
         self._errors: list[ShardFailedError] = []  # kept for settle()
         self.set_obs(obs)
 
@@ -198,7 +237,7 @@ class SerialExecutor:
         self.obs = obs if obs is not None else OBS_DISABLED
         self._h_apply = self.obs.registry.histogram(
             "executor_apply_seconds",
-            "In-process sketch apply duration per batch",
+            "In-process sketch apply duration per round",
             buckets=_RPC_BUCKETS,
         )
 
@@ -223,42 +262,46 @@ class SerialExecutor:
         return True
 
     def restart_worker(self, worker_id: int, shards: dict) -> None:
-        """Replace the listed shards' state in place (recovery hook)."""
+        """Replace the listed shards' state in place (recovery hook); the
+        shards are restacked into a fresh base."""
         for shard_id, sketch in shards.items():
             self._shards[shard_id] = sketch
+        self._stack = stack_shards(dict(enumerate(self._shards)))
 
     def send_many(self, batches, trace: tuple[str, str] | None = None) -> None:
-        """Apply batches in order, at once; a failure stops the call and
-        is kept for :meth:`settle`, naming the not-applied shards."""
+        """Apply the batches as one round (:func:`_apply_round`), at
+        once; a failure stops the round and is kept for :meth:`settle`,
+        naming the not-applied shards."""
         batches = list(batches)
-        for i, (shard_id, keys, times, side) in enumerate(batches):
-            started = time.perf_counter()
-            try:
-                if trace is not None:
-                    with self.obs.tracer.span(
-                        "shard.apply",
-                        trace_id=trace[0],
-                        parent_id=trace[1],
-                        shard=shard_id,
-                        items=int(keys.size),
-                    ):
-                        _apply_flush(self._shards[shard_id], keys, times, side)
-                else:
-                    _apply_flush(self._shards[shard_id], keys, times, side)
-            except Exception as exc:
-                err = ShardFailedError(
-                    f"shard worker failed:\n{traceback.format_exc()}",
-                    shard_ids=tuple(b[0] for b in batches[i:]),
-                    worker_ids=(0,),
-                )
-                err.__cause__ = exc
-                self._errors.append(err)
-                return
-            elapsed = time.perf_counter() - started
-            self._h_apply.observe(elapsed)
-            self.obs.stages.observe(
-                "apply", elapsed, trace[0] if trace is not None else None
+        if not batches:
+            return
+        started = time.perf_counter()
+        try:
+            if trace is not None:
+                with self.obs.tracer.span(
+                    "shard.apply",
+                    trace_id=trace[0],
+                    parent_id=trace[1],
+                    shards=[b[0] for b in batches],
+                    items=sum(int(np.size(b[1])) for b in batches),
+                ):
+                    _apply_round(self._shards, self._stack, batches)
+            else:
+                _apply_round(self._shards, self._stack, batches)
+        except _RoundFailed as exc:
+            err = ShardFailedError(
+                f"shard worker failed:\n{traceback.format_exc()}",
+                shard_ids=exc.shard_ids,
+                worker_ids=(0,),
             )
+            err.__cause__ = exc.__cause__
+            self._errors.append(err)
+            return
+        elapsed = time.perf_counter() - started
+        self._h_apply.observe(elapsed)
+        self.obs.stages.observe(
+            "apply", elapsed, trace[0] if trace is not None else None
+        )
 
     def settle(self) -> None:
         """Raise the error kept by the round's ``send_many`` calls."""
@@ -275,7 +318,7 @@ class SerialExecutor:
     def read(self, clock, op, args: dict) -> list:
         """The ``read`` verb in place: ``[answer]`` of the one worker,
         or ``[]`` when no shard is listed."""
-        return [_read_shards(self._shards, clock, op, args)] if args else []
+        return [_read_shards(self._shards, self._stack, clock, op, args)] if args else []
 
     def snapshot(self, shard_id: int):
         """An isolated copy of one shard, safe to merge or mutate."""
@@ -311,7 +354,8 @@ class _Round:
 
     def __init__(self) -> None:
         self.started = time.perf_counter()
-        self.pending: list[tuple[int, int]] = []  # (worker, shard), send order
+        # (worker, the message's shards), send order
+        self.pending: list[tuple[int, tuple]] = []
         self.dead: set[int] = set()  # workers whose pipe failed this round
         self.errors: list[ShardError] = []
         self.failed: list[int] = []  # shards not known to have applied
@@ -320,16 +364,25 @@ class _Round:
 def _worker_main(conn, shards: dict) -> None:
     """Worker loop: apply commands to the shards this process owns.
 
-    A ``flush`` message carries its batch as pickled arrays.
+    The shards are stacked first (:func:`~repro.core.stack.stack_shards`):
+    a forked worker's share of the engine's base stays where it is, and
+    shards that arrive pickled (spawn, restart) are copied into a fresh
+    base once.  An ``apply`` message carries the worker's whole flush
+    round, its batches as pickled arrays.
     """
+    stack = stack_shards(shards)
     try:
         while True:
             cmd, *args = conn.recv()
             try:
-                if cmd == "flush":
-                    sid, keys, times, side, trace = args
+                if cmd == "apply":
+                    batches, trace = args
                     t0 = time.perf_counter()
-                    _apply_flush(shards[sid], keys, times, side)
+                    try:
+                        _apply_round(shards, stack, batches)
+                    except _RoundFailed as exc:
+                        conn.send(("err", (traceback.format_exc(), exc.shard_ids)))
+                        continue
                     dur_ms = (time.perf_counter() - t0) * 1e3
                     if trace is None:
                         conn.send(("ok", None))
@@ -340,12 +393,13 @@ def _worker_main(conn, shards: dict) -> None:
                         conn.send((
                             "ok",
                             span_record(
-                                "worker.apply", trace[0], trace[1],
-                                t0, dur_ms, shard=sid, items=int(keys.size),
+                                "worker.apply", trace[0], trace[1], t0, dur_ms,
+                                shards=[b[0] for b in batches],
+                                items=sum(int(b[1].size) for b in batches),
                             ),
                         ))
                 elif cmd == "read":
-                    conn.send(("ok", _read_shards(shards, *args)))
+                    conn.send(("ok", _read_shards(shards, stack, *args)))
                 elif cmd == "snapshot":
                     (sid,) = args
                     conn.send(("ok", shards[sid]))
@@ -374,8 +428,9 @@ class ProcessExecutor:
     """Shards partitioned over a pool of long-lived worker processes.
 
     Shard ``s`` is owned by worker ``s % num_workers`` forever; a flush
-    for it is a message to that worker.  ``send_many`` fans a round of
-    batches out to all workers and ``settle`` collects the
+    round is one ``apply`` message per worker, carrying all of that
+    worker's batches.  ``send_many`` fans a round out to all workers
+    and ``settle`` collects the
     acknowledgements, so independent shards really do apply in
     parallel, and the caller's own work between the two overlaps them.
 
@@ -562,6 +617,9 @@ class ProcessExecutor:
                 shard_ids=shard_ids, worker_ids=(worker_id,),
             ) from exc
         if status == "err":
+            if isinstance(payload, tuple):
+                # a failed round names the shards it left unapplied
+                payload, shard_ids = payload
             raise ShardFailedError(
                 f"shard worker failed:\n{payload}",
                 shard_ids=shard_ids, worker_ids=(worker_id,),
@@ -600,37 +658,44 @@ class ProcessExecutor:
     def send_many(self, batches, trace: tuple[str, str] | None = None) -> None:
         """Send ``(shard_id, keys, times, side)`` batches without waiting.
 
-        Opens a round, or extends the one in flight; the batches apply
-        in the workers while the caller goes on, and :meth:`settle`
-        collects their acknowledgements.  Pipes are FIFO per worker, so
-        per-shard order is kept while distinct workers overlap.  A send
-        to a dead worker is recorded for ``settle``, never raised here.
+        Opens a round, or extends the one in flight, with one ``apply``
+        message per worker carrying all of that worker's batches (the
+        worker applies them with :func:`_apply_round`); the batches
+        apply in the workers while the caller goes on, and
+        :meth:`settle` collects the acknowledgements.  Pipes are FIFO
+        per worker, so per-shard order is kept while distinct workers
+        overlap.  A send to a dead worker is recorded for ``settle``,
+        never raised here.
         """
+        parts: dict[int, list] = {}
         for shard_id, keys, times, side in batches:
+            parts.setdefault(self.worker_of(shard_id), []).append(
+                (shard_id, np.asarray(keys), times, side)
+            )
+        for w, part in parts.items():
             self._send_in_round(
-                shard_id,
-                ("flush", shard_id, np.asarray(keys), times, side, trace),
+                w, tuple(b[0] for b in part), ("apply", part, trace)
             )
 
-    def _send_in_round(self, shard_id: int, message) -> None:
-        """Send one message as part of the round in flight; its
-        acknowledgement is collected by :meth:`settle`."""
+    def _send_in_round(self, worker_id: int, shard_ids: tuple, message) -> None:
+        """Send one message for ``shard_ids`` to a worker as part of the
+        round in flight; its acknowledgement is collected by
+        :meth:`settle`."""
         rnd = self._round
         if rnd is None:
             rnd = self._round = _Round()
-        w = self.worker_of(shard_id)
-        if w in rnd.dead:
+        if worker_id in rnd.dead:
             # a worker whose pipe failed this round gets no more sends
-            rnd.failed.append(shard_id)
+            rnd.failed.extend(shard_ids)
             return
         try:
-            self._send(w, message, shard_ids=(shard_id,))
+            self._send(worker_id, message, shard_ids=shard_ids)
         except ShardDeadError as exc:
-            rnd.dead.add(w)
+            rnd.dead.add(worker_id)
             rnd.errors.append(exc)
-            rnd.failed.append(shard_id)
+            rnd.failed.extend(shard_ids)
             return
-        rnd.pending.append((w, shard_id))
+        rnd.pending.append((worker_id, shard_ids))
 
     def settle(self) -> None:
         """Collect the round's acknowledgements; no-op with none in flight.
@@ -644,23 +709,24 @@ class ProcessExecutor:
         rnd, self._round = self._round, None
         if rnd is None:
             return
-        for w, shard_id in rnd.pending:
+        for w, shard_ids in rnd.pending:
             if w in rnd.dead:
-                rnd.failed.append(shard_id)
+                rnd.failed.extend(shard_ids)
                 continue
             try:
-                payload = self._recv(w, op="flush", shard_ids=(shard_id,))
+                payload = self._recv(w, op="apply", shard_ids=shard_ids)
                 if payload is not None:
                     self.obs.tracer.ingest((payload,))
                     self._observe_apply(payload)
             except (ShardDeadError, ShardTimeoutError) as exc:
                 rnd.dead.add(w)
                 rnd.errors.append(exc)
-                rnd.failed.append(shard_id)
+                rnd.failed.extend(shard_ids)
             except ShardFailedError as exc:
-                # worker is alive and in protocol sync; only this batch failed
+                # worker is alive and in protocol sync; the message's
+                # round stopped, and names the batches it left unapplied
                 rnd.errors.append(exc)
-                rnd.failed.append(shard_id)
+                rnd.failed.extend(exc.shard_ids)
         if rnd.errors:
             raise _round_error(rnd.errors, rnd.failed) from rnd.errors[0]
         self._h_rpc.labels("flush_many", "all").observe(

@@ -209,7 +209,9 @@ class ChaosExecutor:
         self._chaos_events.labels("slow").inc()
         send = getattr(self._inner, "_send", None)
         if send is not None and in_round:
-            self._inner._send_in_round(shard_ids[0], ("sleep", float(seconds)))
+            self._inner._send_in_round(
+                worker_id, tuple(shard_ids), ("sleep", float(seconds))
+            )
         elif send is not None:
             send(worker_id, ("sleep", float(seconds)), shard_ids=shard_ids)
             self._inner._recv(

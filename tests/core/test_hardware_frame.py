@@ -265,6 +265,38 @@ class TestCleaning:
         assert np.all(f.cells == 0)
         assert np.array_equal(f.marks, f._current_marks_all(0))
 
+    def test_reset_and_clone_keep_a_view_backed_frame_on_its_base(self):
+        """A frame over rows of shared base arrays (a stack of shards)
+        stays bound to them: reset writes in place, and the stacked
+        clones' frames are rows of one base, not copies."""
+        from repro.core.stack import stacked_clones
+
+        f = make()
+        cells = np.ones((2,) + f.cells.shape, dtype=f.cells.dtype)
+        marks = np.ones((2,) + f.marks.shape, dtype=f.marks.dtype)
+        f.cells, f.marks = cells[1], marks[1]
+        f.reset()
+        assert f.cells.base is cells and f.marks.base is marks
+        assert np.all(cells[1] == 0) and np.all(cells[0] == 1)
+        assert np.array_equal(marks[1], f._current_marks_all(0))
+
+        proto = SheBloomFilter(100, 64, num_hashes=2, group_width=4, seed=1)
+        proto.insert_many(np.arange(40, dtype=np.uint64))
+        shards = stacked_clones(proto, 3)
+        base = shards[0].frame.cells.base
+        assert base is not None and base.shape == (3, 64)
+        for row, sk in enumerate(shards):
+            assert sk.frame.cells.base is base
+            assert sk.frame.marks.base is shards[0].frame.marks.base
+            assert np.shares_memory(sk.frame.cells, base[row])
+        assert np.any(shards[0].frame.cells) and not np.any(base[1:])
+        for sk in shards[1:]:
+            sk.reset()
+            assert sk.frame.cells.base is base
+        # a plain clone of a stacked shard owns its arrays
+        clone = shards[1].clone_empty()
+        assert not np.shares_memory(clone.frame.cells, base)
+
 
 class TestGroupMapping:
     def test_group_of(self):

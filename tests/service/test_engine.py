@@ -242,6 +242,45 @@ class TestEmptyBatches:
         assert query([]).shape == (0,)
 
 
+class TestScalarKeys:
+    """A scalar entry point takes every key its batch form takes: a
+    negative Python int wraps to ``uint64`` and ``2**63`` fits as is,
+    so ``f(key)`` equals ``f_many([key])[0]``."""
+
+    KEYS = (-1, 2**63)
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_engine_point_queries(self, key):
+        bf = make_engine("bf", 2048, 1 << 12, 4, seed=3)
+        cm = make_engine("cm", 2048, 1024, 4, seed=7)
+        for eng in (bf, cm):
+            eng.insert(key)
+            eng.ingest([key])
+        assert bf.contains(key) is True
+        assert bf.contains(key) == bool(bf.contains_many([key])[0])
+        assert cm.frequency(key) == float(cm.frequency_many([key])[0]) == 2.0
+        assert not bf.contains(key, strict=False).missing_shards
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_sketch_insert_and_point_queries(self, key):
+        for sk in (SheBloomFilter(256, 1024, seed=3), SheCountMin(256, 1024, seed=7)):
+            batch = sk.clone_empty()
+            sk.insert(key)
+            batch.insert_many([key])
+            assert np.array_equal(sk.frame.cells, batch.frame.cells)
+            assert sk.now() == batch.now() == 1
+        bf = SheBloomFilter(256, 1024, seed=3)
+        bf.insert(key)
+        assert bf.contains(key) == bool(bf.contains_many([key])[0]) is True
+        cm = SheCountMin(256, 1024, seed=7)
+        cm.insert(key)
+        assert cm.frequency(key) == float(cm.frequency_many([key])[0]) == 1.0
+        mh, batch = SheMinHash(256, 64, seed=5), SheMinHash(256, 64, seed=5)
+        mh.insert(1, key)
+        batch.insert_many(1, [key])
+        assert np.array_equal(mh.frames[1].cells, batch.frames[1].cells)
+
+
 class TestTwoStream:
     def test_mh_similarity_matches_unsharded(self):
         rng = np.random.default_rng(8)

@@ -58,6 +58,14 @@ A seventh rule keeps the group offsets derived.  ``d_gid = -floor(Tcycle
 no module under ``src/repro/core`` or ``src/repro/obs`` reads or assigns
 an ``offsets`` attribute.  The RTL models under ``src/repro/hardware``
 keep their own offset tables, as the hardware does, and are exempt.
+
+An eighth rule keeps one apply routine per worker round.  Both
+executors' ``send_many`` hand a worker's whole round to
+``_apply_round``, which stacks it over the shards' base or applies it
+shard by shard; the process executor sends it as one ``apply`` message
+per worker.  So the per-shard ``"flush"`` worker verb (a message tuple
+led by ``"flush"``, or a command compared with it) and its helper
+``_apply_flush`` are gone from ``src/``.
 """
 
 import ast
@@ -144,6 +152,12 @@ REMOVED_SURFACE_NAMES = {
 
 #: the packages in which no ``offsets`` attribute may appear
 DERIVED_OFFSET_PACKAGES = (SRC / "repro" / "core", SRC / "repro" / "obs")
+
+#: the per-shard apply helper the round routine replaced
+REMOVED_APPLY_NAME = "_apply_flush"
+
+#: the per-shard worker verb the round's ``apply`` message replaced
+REMOVED_WORKER_VERB = "flush"
 
 #: the modules whose classes may not define a single-batch ``flush``
 EXECUTOR_MODULES = {
@@ -559,3 +573,58 @@ def test_stored_offset_lint_detects_violations(tmp_path):
     found = _stored_offset_violations(bad)
     assert len(found) == 2
     assert all("offsets attribute" in f for f in found)
+
+
+def _is_verb(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value == REMOVED_WORKER_VERB
+
+
+def _round_apply_violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        if REMOVED_APPLY_NAME in _identifiers(node):
+            found.append(f"{path}:{line}: removed name {REMOVED_APPLY_NAME}")
+        if isinstance(node, ast.Tuple) and node.elts and _is_verb(node.elts[0]):
+            found.append(f"{path}:{line}: per-shard flush message")
+        if isinstance(node, ast.Compare) and any(
+            _is_verb(n) for n in [node.left, *node.comparators]
+        ):
+            found.append(f"{path}:{line}: per-shard flush verb")
+    return found
+
+
+def test_worker_rounds_have_one_apply_routine():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        offenders.extend(_round_apply_violations(path))
+    assert not offenders, (
+        "a worker's round goes to _apply_round as one apply message; the "
+        "per-shard flush verb and _apply_flush are gone:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_round_apply_lint_detects_violations(tmp_path):
+    """The rule is live: the helper, the verb's message and its
+    dispatch are caught; other flush names and comments are not."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from repro.service.executor import _apply_flush\n"
+        "def _apply_flush(sketch, keys, times, side):\n"
+        "    sketch.insert_at(keys, times)\n"
+        "def worker(conn, shards):\n"
+        "    cmd, *args = conn.recv()\n"
+        "    if cmd == 'flush':\n"
+        "        _apply_flush(shards[args[0]], *args[1:4])\n"
+        "def send(ex, sid, keys, times):\n"
+        "    ex._send(0, ('flush', sid, keys, times, None, None))\n"
+        "# a ('flush', sid, ...) message in a comment is fine\n"
+        "STAGES = ('engine.flush', 'flush_many', 'apply')\n"
+    )
+    found = _round_apply_violations(bad)
+    assert len(found) == 5
+    assert sum("removed name" in f for f in found) == 3
+    assert sum("flush message" in f for f in found) == 1
+    assert sum("flush verb" in f for f in found) == 1
