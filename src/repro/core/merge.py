@@ -21,10 +21,20 @@ hash seeds (the combine would be meaningless), unregistered types, or
 count-based clocks that drifted apart (ages would disagree);
 :func:`merge_many` rejects all of those loudly.
 
-Operands are never written: every frame is read as lazy cleaning at
-the common time would leave it (``read_all``), and the reads fold into
-one accumulator, in place for the ufunc combines, so the result does
-not depend on operand order and a merge holds one extra read at a time.
+Operands are never written: :func:`fold` reads every frame as lazy
+cleaning at the common time would leave it (``read_all``) and combines
+the reads into one accumulator, in place for the ufunc combines, so the
+result does not depend on operand order and a fold holds one extra read
+at a time.  :func:`merge_many` is that fold installed into a copy of
+the first operand (:func:`install`).
+
+Whole-array queries need no merged sketch.  Every registered estimator
+(:attr:`~repro.core.registry.AlgoDescriptor.estimators`: cardinality,
+similarity, quantile, ...) is a function of the folded cells and the
+query time alone, so :func:`estimate` answers from the fold; the
+sketch it is handed only lends its geometry.  A kind that registers no
+estimator for a query is answered by that query method of the folded
+sketch instead.
 
 Caveat (documented, tested): a group may be stale in one operand and
 fresh in the other; reading both at the common time resolves every
@@ -43,9 +53,23 @@ import copy
 
 import numpy as np
 
-from repro.core.registry import AlgoDescriptor, cell_merge_for, descriptor_of
+from repro.core.registry import (
+    AlgoDescriptor,
+    cell_merge_for,
+    descriptor_of,
+    require_descriptor,
+)
 
-__all__ = ["merge_sketches", "merge_many", "mergeable"]
+__all__ = [
+    "merge_sketches",
+    "merge_many",
+    "mergeable",
+    "require_mergeable",
+    "fold",
+    "fold_cells",
+    "install",
+    "estimate",
+]
 
 
 def _frames(sketch, desc: AlgoDescriptor) -> tuple:
@@ -92,6 +116,100 @@ def mergeable(a, b) -> bool:
         return False
 
 
+def require_mergeable(sketches) -> AlgoDescriptor:
+    """The descriptor of ``sketches`` (a non-empty list), after checking
+    that they are mutually mergeable registered sketches.
+
+    Raises:
+        ValueError: naming the first operand that does not match.
+    """
+    first = sketches[0]
+    for other in sketches[1:]:
+        if not mergeable(first, other):
+            raise ValueError(
+                f"cannot merge {type(first).__name__} with "
+                f"{type(other).__name__}: types, geometry, frame kind and "
+                "hash seeds must all match (and both types must be "
+                "registered algorithms)"
+            )
+    desc = descriptor_of(first)
+    if desc is None:
+        raise ValueError(
+            f"{type(first).__name__} is not a registered algorithm"
+        )
+    return desc
+
+
+def fold_cells(sketch, parts):
+    """Combine ``parts`` (per-side tuples of cell arrays, e.g. the folds
+    of several workers) with ``sketch``'s cell operator into one tuple.
+
+    The first part's arrays are the accumulator and are written in
+    place by the ufunc combines, so they must be the caller's own.
+    """
+    combine = _combine_of(sketch, require_descriptor(sketch))
+    parts = iter(parts)
+    acc = list(next(parts))
+    for part in parts:
+        for side, cells in enumerate(part):
+            if isinstance(combine, np.ufunc):
+                combine(acc[side], cells, out=acc[side])
+            else:
+                acc[side] = combine(acc[side], cells)
+    return tuple(acc)
+
+
+def fold(sketches, times: tuple) -> tuple:
+    """The cells of the union of ``sketches``, one array per side: each
+    frame read at its side's time in ``times`` (``read_all``, which
+    writes no operand) and the reads combined by :func:`fold_cells`.
+
+    No compatibility check runs here: :func:`merge_many` checks its
+    operands first (:func:`require_mergeable`), and an engine's stacked
+    shards are clones of one prototype, checked when they were stacked.
+    """
+    desc = require_descriptor(sketches[0])
+    reads = (
+        tuple(f.read_all(tt) for f, tt in zip(_frames(s, desc), times))
+        for s in sketches
+    )
+    return fold_cells(sketches[0], reads)
+
+
+def install(sketch, cells: tuple, times: tuple):
+    """A new sketch: a deep copy of ``sketch`` whose frames own ``cells``
+    (one array per side, not copied) with every mark current, positioned
+    at ``times``, exactly as cleaning at ``times`` would leave a sketch
+    holding those cells."""
+    desc = require_descriptor(sketch)
+    # the copy's cells and marks are swapped in through the memo
+    memo: dict = {}
+    for frame, side_cells, tt in zip(_frames(sketch, desc), cells, times):
+        memo[id(frame.cells)] = side_cells
+        if hasattr(frame, "marks"):
+            memo[id(frame.marks)] = frame._current_marks_all(tt)
+    out = copy.deepcopy(sketch, memo)
+    for frame, tt in zip(_frames(out, desc), times):
+        if hasattr(frame, "_boundaries_done"):
+            frame._boundaries_done = max(
+                frame._boundaries_done, frame._boundaries_at(tt)
+            )
+    _set_clocks(out, desc, times)
+    return out
+
+
+def estimate(sketch, method: str, cells: tuple, times: tuple, *margs):
+    """``method(*margs)`` of the sketch that holds ``cells`` at ``times``
+    (a :func:`fold`), answered by the kind's registered estimator: no
+    sketch is built, and ``sketch`` (any operand of the fold) only
+    lends its geometry.  A kind without an estimator for ``method`` is
+    asked through :func:`install`."""
+    est = require_descriptor(sketch).estimators.get(method)
+    if est is None:
+        return getattr(install(sketch, cells, times), method)(*margs)
+    return est(sketch, cells, times, *margs)
+
+
 def merge_sketches(a, b, *, t: int | None = None):
     """A *new* sketch equal to observing both streams:
     ``merge_many([a, b], t=t)``."""
@@ -101,12 +219,11 @@ def merge_sketches(a, b, *, t: int | None = None):
 def merge_many(sketches, *, t: int | None = None, require_aligned: bool = False):
     """Combine a collection of shard sketches into one new sketch.
 
-    This is the whole-array query path of the sharded service (point
-    queries read each key's owning shard instead): read every shard
-    as it stands at the common time ``t`` and fold the reads with the
-    algorithm's cell combine, in one pass and without copying or
-    cleaning the operands.  The result is a *new* sketch (the first
-    operand's type) positioned at ``t``.
+    Read every operand as it stands at the common time ``t`` and fold
+    the reads with the algorithm's cell combine (:func:`fold`), in one
+    pass and without copying or cleaning the operands; the result is a
+    *new* sketch (the first operand's type) positioned at ``t``
+    (:func:`install`).
 
     Args:
         sketches: one or more mutually mergeable SHE sketches whose
@@ -126,47 +243,12 @@ def merge_many(sketches, *, t: int | None = None, require_aligned: bool = False)
     sketches = list(sketches)
     if not sketches:
         raise ValueError("merge_many needs at least one sketch")
-    first = sketches[0]
-    for other in sketches[1:]:
-        if not mergeable(first, other):
-            raise ValueError(
-                f"cannot merge {type(first).__name__} with "
-                f"{type(other).__name__}: types, geometry, frame kind and "
-                "hash seeds must all match (and both types must be "
-                "registered algorithms)"
-            )
-    desc = descriptor_of(first)
-    if desc is None:
-        raise ValueError(
-            f"{type(first).__name__} is not a registered algorithm"
-        )
+    desc = require_mergeable(sketches)
     clocks = [_clocks(s, desc) for s in sketches]
     if require_aligned and len(set(clocks)) > 1:
         raise ValueError(
             "count-based clocks drifted across shards: "
             f"{sorted(set(clocks))}; operands must observe the same time axis"
         )
-    combine = _combine_of(first, desc)
     times = tuple(t if t is not None else max(side) for side in zip(*clocks))
-    # the output is one deepcopy of the first operand whose cells and
-    # marks are swapped for the folded reads through the memo
-    memo: dict = {}
-    for side, tt in enumerate(times):
-        frames = [_frames(s, desc)[side] for s in sketches]
-        acc = frames[0].read_all(tt)  # a fresh copy: the fold owns it
-        for frame in frames[1:]:
-            if isinstance(combine, np.ufunc):
-                combine(acc, frame.read_all(tt), out=acc)
-            else:
-                acc = combine(acc, frame.read_all(tt))
-        memo[id(frames[0].cells)] = acc
-        if hasattr(frames[0], "marks"):
-            memo[id(frames[0].marks)] = frames[0]._current_marks_all(tt)
-    out = copy.deepcopy(first, memo)
-    for frame, tt in zip(_frames(out, desc), times):
-        if hasattr(frame, "_boundaries_done"):
-            frame._boundaries_done = max(
-                frame._boundaries_done, frame._boundaries_at(tt)
-            )
-    _set_clocks(out, desc, times)
-    return out
+    return install(sketches[0], fold(sketches, times), times)

@@ -12,7 +12,9 @@ everything the surrounding system needs to treat an algorithm uniformly:
   :class:`~repro.core.csm.UpdateKind` unless overridden) and the merge
   compatibility ``signature``,
 * which typed queries it answers (the engine routes point queries to
-  each key's owning shard and merges the shards for whole-array ones),
+  each key's owning shard and folds the shards for whole-array ones),
+* the estimators that answer its whole-array queries from folded cell
+  arrays (:func:`repro.core.merge.estimate`),
 * serialize/deserialize hooks (``to_state`` / ``from_state``),
 * memory-budget sizing (``from_memory``).
 
@@ -31,7 +33,8 @@ rejects ``isinstance(x, She...)`` anywhere else under ``src/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -108,12 +111,12 @@ def restore_frame(frame, prefix: str, data, meta: dict) -> None:
 
 def _single_frame_signature(desc: "AlgoDescriptor", sketch) -> tuple:
     cfg = sketch.config
+    # ``tolist`` gives the Python ints in one call, where converting
+    # through the read-only ``seeds`` view cost a NumPy scalar per seed
     if hasattr(sketch, "hashes"):
-        seeds = tuple(int(s) for s in sketch.hashes.seeds)
+        seeds = tuple(sketch.hashes._seeds.tolist())
     else:
-        seeds = tuple(int(s) for s in sketch._select.seeds) + tuple(
-            int(s) for s in sketch._value.seeds
-        )
+        seeds = tuple(sketch._select._seeds.tolist() + sketch._value._seeds.tolist())
     return (
         desc.class_name,
         cfg.window,
@@ -128,7 +131,7 @@ def _single_frame_signature(desc: "AlgoDescriptor", sketch) -> tuple:
 
 def _two_stream_signature(desc: "AlgoDescriptor", sketch) -> tuple:
     cfg = sketch.config
-    seeds = tuple(int(s) for s in sketch._col_seeds[:4])
+    seeds = tuple(sketch._col_seeds[:4].tolist())
     return (desc.class_name, cfg.window, cfg.t_cycle, sketch.num_counters, seeds)
 
 
@@ -237,6 +240,15 @@ class AlgoDescriptor:
             defaults to ``cls.from_memory``.
         signature: merge-compatibility key of one sketch instance;
             merges are allowed only between equal signatures.
+        estimators: whole-array query method name -> pure estimator
+            ``(sketch, cells, times, *margs) -> answer`` over the cells
+            a sketch holds at ``times`` (one array and one time per
+            frame, e.g. a :func:`repro.core.merge.fold`); ``sketch``
+            lends only its geometry.  The sketch's own query method
+            calls the same function after ``prepare_query_all``, so the
+            engine answers from folded shards without building a
+            merged sketch.  A query with no estimator is answered by
+            the method of a merged sketch.
         to_state: ``(descriptor, sketch) -> (meta_fields, arrays)`` for
             :func:`repro.persist.save_sketch`.
         from_state: ``(descriptor, meta, npz_data) -> sketch`` for
@@ -264,6 +276,7 @@ class AlgoDescriptor:
     signature: Callable | None = None
     to_state: Callable | None = None
     from_state: Callable | None = None
+    estimators: Mapping[str, Callable] = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not self.kind:
@@ -290,6 +303,7 @@ class AlgoDescriptor:
         if self.from_state is None:
             object.__setattr__(self, "from_state", _default_from_state)
         object.__setattr__(self, "queries", frozenset(self.queries))
+        object.__setattr__(self, "estimators", MappingProxyType(dict(self.estimators)))
 
     # bound conveniences so call sites read naturally ------------------------
 
@@ -649,6 +663,7 @@ register_algorithm(AlgoDescriptor(
         "cardinality undercounts: shed arrivals inside the window are "
         "uncounted"
     ),
+    estimators={"cardinality": SheBitmap.estimate_cardinality},
     to_state=_bm_to_state,
     from_state=_bm_from_state,
 ))
@@ -666,6 +681,7 @@ register_algorithm(AlgoDescriptor(
         "cardinality undercounts: shed arrivals inside the window are "
         "uncounted"
     ),
+    estimators={"cardinality": SheHyperLogLog.estimate_cardinality},
     to_state=_hll_to_state,
     from_state=_hll_from_state,
 ))
@@ -700,6 +716,7 @@ register_algorithm(AlgoDescriptor(
         "similarity ignores arrivals shed inside the window on either "
         "stream"
     ),
+    estimators={"similarity": SheMinHash.estimate_similarity},
     to_state=_mh_to_state,
     from_state=_mh_from_state,
 ))

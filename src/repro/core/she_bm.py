@@ -72,12 +72,18 @@ class SheBitmap(SheSketchBase):
         """Estimate the number of distinct keys in the window."""
         t = self._resolve_time(t)
         self.frame.prepare_query_all(t)
+        return self.estimate_cardinality((self.frame.cells,), (t,))
+
+    def estimate_cardinality(self, cells: tuple, times: tuple) -> float:
+        """The estimate over bits ``cells[0]`` as cleaning at
+        ``times[0]`` leaves them; reads only this sketch's geometry."""
+        (bits,), (t,) = cells, times
         legal = self.frame.legal_groups(t)
         num_legal = int(np.count_nonzero(legal))
         if num_legal == 0:
             return 0.0
         w = self.frame.group_width
-        view = self.frame.cells.reshape(self.frame.num_groups, w)
+        view = bits.reshape(self.frame.num_groups, w)
         legal_bits = num_legal * w
         zeros = legal_bits - int(np.count_nonzero(view[legal]))
         if zeros == 0:

@@ -91,11 +91,17 @@ class SheHyperLogLog(SheSketchBase):
         """Estimate the number of distinct keys in the window."""
         t = self._resolve_time(t)
         self.frame.prepare_query_all(t)
+        return self.estimate_cardinality((self.frame.cells,), (t,))
+
+    def estimate_cardinality(self, cells: tuple, times: tuple) -> float:
+        """The estimate over registers ``cells[0]`` as cleaning at
+        ``times[0]`` leaves them; reads only this sketch's geometry."""
+        (registers,), (t,) = cells, times
         legal = self.frame.legal_groups(t)
         k = int(np.count_nonzero(legal))
         if k == 0:
             return 0.0
-        ranks = self.frame.cells[legal]
+        ranks = registers[legal]
         z = float(np.sum(_NEG_POW2.take(ranks)))
         est_sub = hll_alpha(k) * k * k / z
         if est_sub <= 2.5 * k:

@@ -199,16 +199,26 @@ class SheMinHash:
         Uses each side's own clock unless an explicit time is given;
         only counters legal on *both* sides participate.
         """
-        t0 = self.counts[0] if t is None else t
-        t1 = self.counts[1] if t is None else t
+        times = (
+            (self.counts[0], self.counts[1]) if t is None else (t, t)
+        )
+        for frame, side_t in zip(self.frames, times):
+            frame.prepare_query_all(side_t)
+        return self.estimate_similarity(
+            tuple(f.cells for f in self.frames), times
+        )
+
+    def estimate_similarity(self, cells: tuple, times: tuple) -> float:
+        """The match fraction over the two sides' counters ``cells`` as
+        cleaning at ``times`` leaves them; reads only this sketch's
+        geometry."""
+        (c0, c1), (t0, t1) = cells, times
         f0, f1 = self.frames
-        f0.prepare_query_all(t0)
-        f1.prepare_query_all(t1)
         legal = f0.legal_groups(t0) & f1.legal_groups(t1)
         k = int(np.count_nonzero(legal))
         if k == 0:
             return 0.0
-        u = int(np.count_nonzero(f0.cells[legal] == f1.cells[legal]))
+        u = int(np.count_nonzero(c0[legal] == c1[legal]))
         return u / k
 
     @property

@@ -76,6 +76,11 @@ QUANTILE_SPEC = CsmSpec(
 )
 
 
+def _require_q(q: float) -> None:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+
+
 class SheWindowedQuantile(GenericSheSketch):
     """Sliding-window quantiles over non-negative integer measurements.
 
@@ -155,39 +160,45 @@ class SheWindowedQuantile(GenericSheSketch):
 
     # -- queries -------------------------------------------------------------
 
-    def _window_counts(self, t: int | None) -> np.ndarray:
+    def _window_cells(self, t: int | None) -> tuple[tuple, tuple]:
+        """``(cells, times)`` of the frame cleaned at ``t``, as the
+        estimators take them."""
         t = self._resolve_time(t)
         self.frame.prepare_query_all(t)
-        return self.frame.cells.astype(np.float64)
+        return (self.frame.cells,), (t,)
 
     def sample_count(self, t: int | None = None) -> int:
         """Samples currently held in the window (post-cleaning)."""
-        return int(self._window_counts(t).sum())
+        return self.estimate_sample_count(*self._window_cells(t))
 
     def quantile(self, q: float, t: int | None = None) -> float:
         """The ``q``-quantile of the windowed samples (NaN when empty)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        counts = self._window_counts(t)
-        total = counts.sum()
-        if total <= 0:
-            return float("nan")
-        target = max(q, 1e-12) * total
-        cum = np.cumsum(counts)
-        bucket = int(np.searchsorted(cum, target, side="left"))
-        return self.representative(min(bucket, counts.size - 1))
+        _require_q(q)
+        return self.estimate_quantile(*self._window_cells(t), q)
 
     def quantiles(self, qs, t: int | None = None) -> list[float]:
         """Several quantiles from one frame cleaning pass."""
-        counts = self._window_counts(t)
+        return self.estimate_quantiles(*self._window_cells(t), qs)
+
+    # -- estimators over cells as cleaning at ``times`` leaves them; they
+    # read only this sketch's geometry (AlgoDescriptor.estimators)
+
+    def estimate_sample_count(self, cells: tuple, times: tuple) -> int:
+        return int(cells[0].astype(np.float64).sum())
+
+    def estimate_quantile(self, cells: tuple, times: tuple, q: float) -> float:
+        _require_q(q)
+        return self.estimate_quantiles(cells, times, (q,))[0]
+
+    def estimate_quantiles(self, cells: tuple, times: tuple, qs) -> list[float]:
+        counts = cells[0].astype(np.float64)
         total = counts.sum()
         if total <= 0:
             return [float("nan")] * len(list(qs))
         cum = np.cumsum(counts)
         out = []
         for q in qs:
-            if not 0.0 <= q <= 1.0:
-                raise ValueError(f"q must be in [0, 1], got {q}")
+            _require_q(q)
             target = max(q, 1e-12) * total
             bucket = int(np.searchsorted(cum, target, side="left"))
             out.append(self.representative(min(bucket, counts.size - 1)))
@@ -223,6 +234,10 @@ register_algorithm(AlgoDescriptor(
         "quantiles ignore arrivals shed inside the current window"
     ),
     signature=_wq_signature,
+    estimators={
+        "quantile": SheWindowedQuantile.estimate_quantile,
+        "sample_count": SheWindowedQuantile.estimate_sample_count,
+    },
     to_state=_wq_to_state,
     from_state=_default_from_state,  # gamma rides in params
 ))

@@ -45,10 +45,12 @@ reading each key's owning shard for point queries:
   key lives there, so the owner's answer is exact for the sketch it
   is, and no other shard's load adds to its error.  Whole-array
   queries (cardinality, similarity, quantile) fold each worker's
-  shards via ``merge_many`` into one operand; a lone worker answers
-  from it and ships the value, several ship their operands for the
-  driver to fold.  Either way the answer is exactly the merged single
-  sketch's.
+  shards' cells at the clock (:func:`repro.core.merge.fold`) and
+  answer with the kind's estimator over the folded arrays: a lone
+  worker answers from its fold and ships the value, several ship their
+  folds for the driver to combine and answer.  No merged sketch is
+  built, yet the answer is exactly the merged single sketch's; only
+  ``merged()`` builds one.
 
 * **Failure containment.** Executor failures arrive as the typed
   hierarchy of :mod:`repro.service.errors` and never lose data: a
@@ -72,7 +74,10 @@ from typing import Any
 import numpy as np
 
 from repro.common.validation import as_key_array, require_positive_int
-from repro.core.merge import merge_many
+from repro.core.merge import estimate, fold_cells, install
+# not called here: the ledger benchmark times its "merge" layer by
+# wrapping this module's ``merge_many``
+from repro.core.merge import merge_many  # noqa: F401
 from repro.core.registry import get_descriptor, registered_kinds
 from repro.core.stack import stacked_clones
 from repro.obs import Observability, new_id, span_record
@@ -328,11 +333,16 @@ class DegradedAnswer:
         return self.shards_answered / self.shards_total
 
 
+def _prototype(config: EngineConfig):
+    """The empty sketch every shard of ``config`` is a clone of."""
+    return config.descriptor().build(
+        config.window, config.size, **config.sketch_kwargs
+    )
+
+
 def _build_shards(config: EngineConfig) -> list:
-    desc = config.descriptor()
-    proto = desc.build(config.window, config.size, **config.sketch_kwargs)
     # one base array each for the shards' cells and marks (repro.core.stack)
-    return stacked_clones(proto, config.num_shards)
+    return stacked_clones(_prototype(config), config.num_shards)
 
 
 class _ShardBuffer:
@@ -447,6 +457,7 @@ class StreamEngine:
         )
         self._desc = config.descriptor()
         self._two_stream = self._desc.two_stream
+        self._layout = None  # built by _geometry() on first use
         shards = _shards if _shards is not None else _build_shards(config)
         if len(shards) != config.num_shards:
             raise ValueError(
@@ -1232,24 +1243,28 @@ class StreamEngine:
                 else:
                     lost |= self._shards_of_error(err)
 
-    def _merge(self, operands: list):
-        """One sketch from the workers' ``merge_many`` operands: a lone
-        operand already is one, more fold in the driver (None when no
-        shard answered)."""
-        if len(operands) <= 1:
-            return operands[0] if operands else None
-        t = None if self._two_stream else self._t[0]
-        return merge_many(operands, t=t, require_aligned=True)
+    def _geometry(self):
+        """An empty sketch laid out as every shard (built once, from the
+        config, on first use): it lends its layout to the folds and
+        estimators the driver runs, and ``merged()`` installs into a
+        copy of it."""
+        if self._layout is None:
+            self._layout = _prototype(self.config)
+        return self._layout
 
     def merged(self):
         """One sketch equal to observing the union stream unsharded.
 
-        ``merge_many`` over the aligned shards, per
-        :mod:`repro.core.merge` semantics: each worker folds its own
-        shards where they live and ships one operand.
+        Each worker folds its own aligned shards where they live and
+        ships the cells; the driver combines them and installs the
+        result into a copy of the shards' layout, exactly as
+        ``merge_many`` over the aligned shards would
+        (:mod:`repro.core.merge`).
         """
         started = time.perf_counter() if self._stages.enabled else None
-        out = self._merge(self._read(True, "merge")[0])
+        geometry = self._geometry()
+        cells = fold_cells(geometry, self._read(True, "merge")[0])
+        out = install(geometry, cells, tuple(self._t))
         self._observe_fanin(started)
         return out
 
@@ -1343,14 +1358,16 @@ class StreamEngine:
         )
 
     def _whole(self, query: str, strict: bool, method: str, *margs):
-        """A whole-array query: ``method(*margs)`` of the live shards'
-        merge (None when no shard answered).
+        """A whole-array query: ``method(*margs)`` over the live shards'
+        folded cells (None when no shard answered), by the kind's
+        estimator (:func:`~repro.core.merge.estimate`).
 
-        When one worker holds every live shard, its merge is the whole
-        merge, so it answers there and ships the value.  Otherwise each
-        worker ships its operand and the driver folds and answers.  A
-        read only loses shards, never gains them, so the one worker
-        stays the only one through the read's retries.
+        When one worker holds every live shard, its fold is the whole
+        fold, so it answers there and ships the value.  Otherwise each
+        worker ships its fold and the driver combines them and answers
+        with the same estimator.  A read only loses shards, never gains
+        them, so the one worker stays the only one through the read's
+        retries.
         """
         n = self.config.num_shards
         workers = {self._exec.worker_of(s) for s in range(n) if s not in self._down}
@@ -1360,11 +1377,14 @@ class StreamEngine:
                 lambda answers: answers[0] if answers else None,
             )
 
-        def fold(operands: list):
-            merged = self._merge(operands)
-            return None if merged is None else getattr(merged, method)(*margs)
+        def answer(parts: list):
+            if not parts:
+                return None
+            geometry = self._geometry()
+            cells = fold_cells(geometry, parts)
+            return estimate(geometry, method, cells, tuple(self._t), *margs)
 
-        return self._answer(query, strict, "merge", fold)
+        return self._answer(query, strict, "merge", answer)
 
     def contains(self, key: int, *, strict: bool = True):
         """Membership of ``key`` in the window (BF engines)."""

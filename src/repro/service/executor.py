@@ -35,9 +35,10 @@ for ``settle``, so both raise at the same call.
 Queries travel to the data.  ``read(clock, op, args)`` sends one
 message per worker that owns a listed shard; the worker advances those
 shards to the engine clock and answers ``op`` where they live
-(``_read_shards``): a point query's answers, one ``merge_many``
-operand of its shards (or, when it holds every live shard, the
-whole-array query's answer itself), or a scrape's ints and probe dicts.
+(``_read_shards``): a point query's answers, its shards' cells folded
+into one array per side (or, when it holds every live shard, the
+whole-array query's answer itself, estimated from that fold), or a
+scrape's ints and probe dicts.
 :class:`SerialExecutor` runs the same function in place.  Only
 ``snapshot``/``snapshots`` (and ``checkpoint``, which writes in the
 worker) still move whole shards.
@@ -73,7 +74,7 @@ import traceback
 
 import numpy as np
 
-from repro.core.merge import merge_many
+from repro.core.merge import estimate, fold, require_mergeable
 from repro.core.stack import stack_shards
 from repro.obs import OBS_DISABLED
 from repro.obs.tracing import span_record
@@ -156,10 +157,11 @@ def _read_shards(shards, stack, clock, op, args: dict):
     state), then answers ``op`` over them:
 
     * ``None``: nothing more (a read that only aligns clocks);
-    * ``"merge"``: one ``merge_many`` operand of the listed shards,
-      a fresh sketch at the clock;
-    * ``("answer", method, margs)``: ``method(*margs)`` of that
-      operand, when the listed shards are all the live ones;
+    * ``"merge"``: the listed shards' cells folded at the clock
+      (:func:`~repro.core.merge.fold`), one fresh array per side;
+    * ``("answer", method, margs)``: ``method(*margs)`` over that fold
+      (:func:`~repro.core.merge.estimate`), when the listed shards are
+      all the live ones;
     * ``"memory"``: their summed ``memory_bytes``;
     * ``"probe"``: ``{shard: probe dict, or None without a probe}``;
     * a point method (``"contains_many"`` / ``"frequency_many"``):
@@ -174,12 +176,17 @@ def _read_shards(shards, stack, clock, op, args: dict):
     if op is None:
         return None
     if op == "merge" or isinstance(op, tuple):
-        t = clock[0] if len(clock) == 1 else None  # two-stream: per side
-        merged = merge_many([shards[s] for s in args], t=t, require_aligned=True)
+        # shards just aligned to the clock, and no sketch is built; the
+        # stack's own shards were checked against each other when they
+        # were stacked, any others are checked here
+        operands = [shards[s] for s in args]
+        if stack is None or any(stack.shards.get(s) is not shards[s] for s in args):
+            require_mergeable(operands)
+        cells = fold(operands, tuple(clock))
         if op == "merge":
-            return merged
+            return cells
         _, method, margs = op
-        return getattr(merged, method)(*margs)
+        return estimate(operands[0], method, cells, tuple(clock), *margs)
     if op == "memory":
         return sum(shards[s].memory_bytes for s in args)
     if op == "probe":

@@ -228,6 +228,10 @@ class ChaosExecutor:
                 shard_ids=tuple(shard_ids), worker_ids=(worker_id,),
             )
 
+    def _strikes(self, n: int) -> bool:
+        """Whether a kill or a stall is staged at op ``n``."""
+        return n == self._kill_at or n in self._delay_ops
+
     def _before_op(self, worker_id: int) -> int:
         """Advance the op counter and fire any faults staged at it."""
         self.ops += 1
@@ -265,15 +269,24 @@ class ChaosExecutor:
     # -- protocol verbs ------------------------------------------------------
 
     def send_many(self, batches, trace=None) -> None:
-        """Per-batch forwarding so each batch is its own countable op.
+        """Count each batch as its own op; forward the batches that
+        pass their faults to the inner executor as one round.
 
-        Each batch that passes its faults joins the inner executor's
-        round in flight, so a kill or stall can land on a worker that
-        holds unacknowledged batches; every failure is kept for
-        :meth:`settle`.
+        The inner round carries every surviving batch, so a process
+        inner sends each worker's share as one ``apply`` message and a
+        worker applies it in one stacked call where it can.  A kill or
+        stall staged at a batch's op lands between the batches before
+        it, which are forwarded first, and the batches from it on, as
+        when every batch was its own round; so a kill or stall can land
+        on a worker that holds unacknowledged batches.  Every failure
+        is kept for :meth:`settle`.
         """
+        survivors: list = []
         for shard_id, keys, times, side in batches:
             worker_id = self.worker_of(shard_id)
+            if survivors and self._strikes(self.ops + 1):
+                self._inner.send_many(survivors, trace)
+                survivors = []
             n = self._before_op(worker_id)
             i = len(self._round_shards)
             self._round_shards.append(shard_id)
@@ -283,9 +296,11 @@ class ChaosExecutor:
                 self._round_errors.append((i, exc))
                 continue
             self._maybe_slow(worker_id, shard_ids=(shard_id,), in_round=True)
-            self._inner.send_many([(shard_id, keys, times, side)], trace)
+            survivors.append((shard_id, keys, times, side))
             if n in self._drop_ack_ops:
                 self._round_drops.append((i, n, shard_id, worker_id))
+        if survivors:
+            self._inner.send_many(survivors, trace)
 
     def settle(self) -> None:
         """Settle the inner round, then raise every failure of this

@@ -182,6 +182,32 @@ class TestSignatures:
         assert desc.merge_signature(hw) == desc.merge_signature(sw)
 
 
+    @pytest.mark.parametrize("frame", ["hardware", "software"])
+    @pytest.mark.parametrize("kind", ["bf", "bm", "hll", "cm", "mh", "wq", GENERIC_KIND])
+    def test_signature_seeds_are_the_seed_view_as_ints(self, kind, frame):
+        """The seeds in a signature come from one ``tolist`` of the seed
+        array; they equal the ints the read-only ``seeds`` view gives,
+        one element at a time, so every signature is as before."""
+        import repro.obs.windows  # noqa: F401  (registers "wq")
+
+        desc = get_descriptor(kind)
+        kw = {"spec": BLOOM_FILTER_SPEC} if kind == GENERIC_KIND else {}
+        sketch = desc.build(256, 256, frame=frame, seed=11, **kw)
+        sig = desc.merge_signature(sketch)
+        if desc.two_stream:
+            got = sig[-1]
+            seeds = tuple(int(s) for s in sketch._col_seeds[:4])
+        elif hasattr(sketch, "hashes"):
+            got = sig[6]
+            seeds = tuple(int(s) for s in sketch.hashes.seeds)
+        else:
+            got = sig[6]
+            seeds = tuple(int(s) for s in sketch._select.seeds) + tuple(
+                int(s) for s in sketch._value.seeds
+            )
+        assert got == seeds and all(type(s) is int for s in got)
+
+
 class TestFromMemory:
     @pytest.mark.parametrize("kind", ["bf", "bm", "hll", "cm", "mh"])
     def test_descriptor_from_memory_respects_budget(self, kind):

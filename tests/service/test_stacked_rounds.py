@@ -8,7 +8,9 @@ round allows it, shard by shard when not.  Whatever the route and the
 worker count, the shards must end bit for bit where the serial engine
 leaves them: cells, marks, clocks and the three cleaning counters.
 Three workers over eight shards hold rows of the base that are not
-contiguous (worker ``w`` owns shards ``w, w + 3, ...``).
+contiguous (worker ``w`` owns shards ``w, w + 3, ...``).  Under a
+:class:`ChaosExecutor` a round still goes out as one message per
+worker, and a worker killed inside one recovers bit for bit.
 """
 
 import numpy as np
@@ -16,7 +18,14 @@ import pytest
 
 import repro.core.stack as stack
 from repro.core.registry import get_descriptor
-from repro.service import EngineConfig, StreamEngine
+from repro.service import (
+    ChaosExecutor,
+    EngineConfig,
+    ProcessExecutor,
+    RetryPolicy,
+    StreamEngine,
+    Supervisor,
+)
 
 SHARDS = 8
 KINDS = {
@@ -85,10 +94,32 @@ def test_rounds_and_point_reads_serial_equals_process(kind, workers, monkeypatch
     assert 0 < routes["stacked"] < 40 and routes["reads"] == 40
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_a_flush_round_is_one_message_per_worker(workers, monkeypatch):
-    with build("bf", "process", workers) as eng:
-        ex = eng._exec
+def under_chaos(workers, **faults):
+    """An executor factory: a process pool wrapped in a
+    :class:`ChaosExecutor` with ``faults``, kept in the returned dict."""
+    made = {}
+
+    def factory(shards):
+        made["chaos"] = ChaosExecutor(
+            ProcessExecutor(shards, num_workers=workers, timeout_s=5.0), **faults
+        )
+        return made["chaos"]
+
+    return factory, made
+
+
+@pytest.mark.parametrize("workers,chaos", [
+    pytest.param(1, False, id="1"),
+    pytest.param(3, False, id="3"),
+    pytest.param(1, True, id="1-chaos"),
+    pytest.param(3, True, id="3-chaos"),
+])
+def test_a_flush_round_is_one_message_per_worker(workers, chaos, monkeypatch):
+    """Under chaos too: each batch counts as its own op, and the
+    batches that pass their faults still go out as one round."""
+    factory, made = under_chaos(workers)
+    with build("bf", factory if chaos else "process", workers) as eng:
+        ex = made["chaos"]._inner if chaos else eng._exec
         sent = []
         real = ex._send
 
@@ -102,3 +133,29 @@ def test_a_flush_round_is_one_message_per_worker(workers, monkeypatch):
         assert sorted(sent) == [
             (w, "apply", ex.shards_of(w)) for w in range(workers)
         ]
+        if chaos:
+            assert made["chaos"].ops == SHARDS
+
+
+def test_a_kill_inside_a_stacked_round_recovers_bit_identical(tmp_path):
+    """Supervisor attach counts 16 ops (8 clock advances, 8
+    checkpoints), each round 8 (one per batch): op 28 is the fourth
+    batch of the second round, shard 3, whose worker 1 dies with the
+    round's first batches sent and the rest still to go."""
+    factory, made = under_chaos(2, kill_worker_after_ops=28)
+    rng = np.random.default_rng(5)
+    with build("bf") as ref, build("bf", factory) as eng:
+        Supervisor(eng, tmp_path, policy=RetryPolicy(backoff_base_s=0.0))
+        for _ in range(4):
+            # 600 keys: under Tcycle and under M touches, so stacked
+            keys = rng.integers(0, 4000, size=600, dtype=np.uint64)
+            for e in (ref, eng):
+                e.ingest(keys)
+                e.flush()
+        assert made["chaos"].kills == [(28, 1)]
+        assert eng.stats.worker_restarts == 1 and eng.down_shards == ()
+        probes = rng.integers(0, 5000, size=300, dtype=np.uint64)
+        assert np.array_equal(eng.contains_many(probes), ref.contains_many(probes))
+        for s, (a, b) in enumerate(zip(eng.snapshots(), ref.snapshots())):
+            # a recovered shard restarts its cleaning counters
+            assert shard_state("bf", a)[:3] == shard_state("bf", b)[:3], f"shard {s}"

@@ -66,6 +66,14 @@ shard by shard; the process executor sends it as one ``apply`` message
 per worker.  So the per-shard ``"flush"`` worker verb (a message tuple
 led by ``"flush"``, or a command compared with it) and its helper
 ``_apply_flush`` are gone from ``src/``.
+
+A ninth rule keeps whole-array queries off merged sketches.  A query
+folds the live shards' cells and answers with the kind's registered
+estimator (``repro.core.merge.estimate``), so neither the executors'
+``_read_shards`` nor any ``StreamEngine`` method but ``merged`` calls
+a routine that builds a sketch: ``merge_many``, ``merge_sketches``,
+``install`` or ``deepcopy``.  ``merged()`` is the one engine call that
+returns a sketch.
 """
 
 import ast
@@ -164,6 +172,15 @@ EXECUTOR_MODULES = {
     SRC / "repro" / "service" / "executor.py",
     SRC / "repro" / "service" / "faults.py",
 }
+
+
+#: the calls that build a sketch, and where they may not be made: the
+#: functions that answer queries where the shards live, and every engine
+#: method but the one that returns a merged sketch
+SKETCH_BUILDS = {"merge_many", "merge_sketches", "install", "deepcopy"}
+NO_SKETCH_FUNCTIONS = {SRC / "repro" / "service" / "executor.py": "_read_shards"}
+NO_SKETCH_CLASSES = {SRC / "repro" / "service" / "engine.py": "StreamEngine"}
+SKETCH_METHOD = "merged"
 
 
 def _names_in(node: ast.expr):
@@ -628,3 +645,77 @@ def test_round_apply_lint_detects_violations(tmp_path):
     assert sum("removed name" in f for f in found) == 3
     assert sum("flush message" in f for f in found) == 1
     assert sum("flush verb" in f for f in found) == 1
+
+
+def _calls_named(node: ast.AST, names: set):
+    """``(line, name)`` of the calls under ``node`` to one of ``names``,
+    bare or as an attribute (``copy.deepcopy``)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                yield sub.lineno, name
+
+
+def _sketch_build_violations(path: Path, function: str | None, cls: str | None) -> list[str]:
+    """Calls that build a sketch inside the module function ``function``,
+    or inside any method of class ``cls`` but :data:`SKETCH_METHOD`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scopes = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            scopes.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and node.name == cls:
+            scopes.extend(
+                (f"{cls}.{item.name}", item) for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name != SKETCH_METHOD
+            )
+    return [
+        f"{path}:{line}: {scope} calls {name}"
+        for scope, node in scopes
+        for line, name in _calls_named(node, SKETCH_BUILDS)
+    ]
+
+
+def test_queries_build_no_sketch():
+    offenders = []
+    for path, function in NO_SKETCH_FUNCTIONS.items():
+        offenders.extend(_sketch_build_violations(path, function, None))
+    for path, cls in NO_SKETCH_CLASSES.items():
+        offenders.extend(_sketch_build_violations(path, None, cls))
+    assert not offenders, (
+        "whole-array queries answer from folded cells with the kind's "
+        "estimator; only StreamEngine.merged builds a sketch:\n"
+        + "\n".join(offenders)
+    )
+
+
+def test_sketch_build_lint_detects_violations(tmp_path):
+    """The rule is live: the calls that built a merged sketch per query
+    (the worker's ``merge_many`` and the engine's ``_merge`` helper) are
+    caught, in nested functions too; ``merged`` and other modules'
+    functions are not."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def _read_shards(shards, stack, clock, op, args):\n"
+        "    merged = merge_many([shards[s] for s in args], t=clock[0])\n"
+        "    return getattr(merged, op[1])(*op[2])\n"
+        "def snapshot(shards, s):\n"
+        "    return copy.deepcopy(shards[s])\n"
+        "class StreamEngine:\n"
+        "    def _merge(self, operands):\n"
+        "        return merge_many(operands, t=self._t[0])\n"
+        "    def merged(self):\n"
+        "        return merge_many(self._read(True, 'merge')[0])\n"
+        "    def _whole(self, query, strict, method, *margs):\n"
+        "        def fold(operands):\n"
+        "            return getattr(copy.deepcopy(operands[0]), method)()\n"
+        "        return self._answer(query, strict, 'merge', fold)\n"
+        "    # merge_many(...) in a comment is fine\n"
+    )
+    found = _sketch_build_violations(bad, "_read_shards", "StreamEngine")
+    assert len(found) == 3
+    assert any("_read_shards calls merge_many" in f for f in found)
+    assert any("StreamEngine._merge calls merge_many" in f for f in found)
+    assert any("StreamEngine._whole calls deepcopy" in f for f in found)
